@@ -16,7 +16,6 @@ from .poly import (
     Poly,
     RationalForm,
     Shape,
-    as_rational,
     exact_div,
     poly_remainder,
     rational_equal,
@@ -77,7 +76,6 @@ from .partitions import (
     rank_family_gen,
     render_partition,
     repetition_statistic,
-    side_gen,
     successive_ranks,
 )
 from .registry import IdentityReport, list_identities, verify

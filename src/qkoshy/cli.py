@@ -77,13 +77,6 @@ def _default_jobs():
     return v
 
 
-def _csv_field(value):
-    s = str(value)
-    if any(ch in s for ch in ',"\n'):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
-
-
 SHOW_SUBJECTS = (
     "qbinom",
     "qcatalan",
@@ -94,6 +87,19 @@ SHOW_SUBJECTS = (
     "conjecture-poly",
 )
 ENUM_SUBJECTS = ("dyck", "elevated", "partitions")
+
+# every parameter some registry row declares, in order of first use
+BOUND_NAMES = tuple(dict.fromkeys(
+    name for chk in registry.CHECKS.values() for name in chk.params))
+
+
+def _roster():
+    lines = ["identities: parameter=default range (floor, cap)"]
+    for chk in registry.CHECKS.values():
+        params = "  ".join("%s=%d..%d (floor %d, cap %d)" % (name, lo, hi, floor, cap)
+                           for name, (floor, lo, hi, cap) in chk.params.items())
+        lines.append("  %-19s %s" % (chk.id, params))
+    return "\n".join(lines)
 
 
 def _parser():
@@ -108,10 +114,11 @@ def _parser():
     v = sub.add_parser(
         "verify",
         help="run identity checks from the registry",
-        epilog="identities: " + ", ".join(registry.list_identities()),
+        epilog=_roster(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     v.add_argument("--id", action="append", dest="ids", metavar="IDENTITY")
-    for name in ("n", "m", "r", "j"):
+    for name in BOUND_NAMES:
         v.add_argument("--" + name, metavar="A..B", dest="range_" + name)
     v.add_argument("--force", action="store_true",
                    help="bypass the per-row scale caps")
@@ -206,12 +213,12 @@ def _sweep_csv_rows(d):
     prefix = [d["case"], d["status"], d["verified_cells"],
               g["m_max"], g["n_max"], g["j_max"], d["elapsed_ms"]]
     if not d["counterexamples"]:
-        return [",".join(_csv_field(x) for x in prefix + ["", ""])]
+        return [",".join(registry.csv_field(x) for x in prefix + ["", ""])]
     rows = []
     for rec in d["counterexamples"]:
         params = json.dumps(rec["params"], sort_keys=True)
         rows.append(",".join(
-            _csv_field(x) for x in prefix + [params, rec["break_index"]]
+            registry.csv_field(x) for x in prefix + [params, rec["break_index"]]
         ))
     return rows
 
@@ -225,7 +232,7 @@ def _cmd_verify(args):
         raise _UsageError("verify needs at least one --id NAME "
                           "(see `qkoshy verify --help` for the list)")
     bounds = {}
-    for name in ("n", "m", "r", "j"):
+    for name in BOUND_NAMES:
         raw = getattr(args, "range_" + name)
         if raw is not None:
             bounds[name] = _parse_range(raw)

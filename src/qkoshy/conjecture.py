@@ -19,12 +19,11 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from multiprocessing import Pool
 
 from .errors import DomainError, InvariantViolation
 from .poly import Poly, exact_div, shape, unimodal_break_index
-from .qfuncs import q_binomial, q_int, t_term_poly
+from .qfuncs import one_minus_q_to, q_binomial, q_int, t_term_poly
 
 CASES = ("odd-n", "even-n")
 
@@ -86,11 +85,6 @@ class SweepReport:
         }
 
 
-@lru_cache(maxsize=512)
-def _one_minus(k: int) -> Poly:
-    return Poly.one() - Poly.monomial(k)
-
-
 def _covered(skip, m, n, j) -> bool:
     if skip is None:
         return False
@@ -133,7 +127,7 @@ def _sweep_column(case, n, m_max, j_max, skip):
         if binom is None:
             binom = q_binomial(m, n - 1)
         else:
-            binom = exact_div(binom * _one_minus(m), _one_minus(m - n + 1))
+            binom = exact_div(binom * one_minus_q_to(m), one_minus_q_to(m - n + 1))
         for j in jays:
             if _covered(skip, m, n, j):
                 continue

@@ -17,6 +17,7 @@ counts, so sequential is the default everywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -284,10 +285,7 @@ def labeled_gen(
             continue
         k = row[3] if weight == "peak-weight-q" else 0
         acc[k] = acc.get(k, 0) + c
-    if not acc:
-        return Poly.zero()
-    top = max(acc)
-    return Poly._raw(tuple(acc.get(i, 0) for i in range(top + 1)))
+    return Poly.from_counts(acc)
 
 
 def distribution(n: int, selector: str, coloring: str = "sequential") -> Poly:
@@ -297,15 +295,11 @@ def distribution(n: int, selector: str, coloring: str = "sequential") -> Poly:
         raise DomainError("unknown selector %r" % selector)
     _check_scale(n, False)
     idx = _SELECTOR_INDEX[selector]
-    acc: dict[int, int] = {}
-    for row in _elevated_stats(n, coloring):
-        acc[row[idx]] = acc.get(row[idx], 0) + 1
-    top = max(acc)
-    return Poly._raw(tuple(acc.get(i, 0) for i in range(top + 1)))
+    return Poly.from_counts(Counter(row[idx] for row in _elevated_stats(n, coloring)))
 
 
 @lru_cache(maxsize=None)
-def _peak_dist(k: int) -> Poly:
+def peak_dist(k: int) -> Poly:
     """Peak-count polynomial of single Dyck paths: 1 for k = 0, else
     q times the Narayana polynomial."""
     if k == 0:
@@ -320,10 +314,10 @@ def ballot_weighted_gen(n: int, r: int) -> Poly:
     if n < 0 or r < 0:
         raise DomainError("need n, r >= 0")
     if r == 0:
-        return _peak_dist(n)
+        return peak_dist(n)
     out = Poly.zero()
     for k in range(n + 1):
-        out = out + _peak_dist(k) * ballot_weighted_gen(n - k, r - 1)
+        out = out + peak_dist(k) * ballot_weighted_gen(n - k, r - 1)
     return out
 
 

@@ -247,30 +247,11 @@ def lambda_side(n: int, j: int) -> Poly:
     return nu_side(n, j, 0)
 
 
-def side_gen(side: str, n: int, j: int, r: int | None = None) -> Poly:
-    if side == "mu_side":
-        if r is None:
-            raise DomainError("mu_side needs r")
-        return mu_side(n, j, r)
-    if side == "nu_side":
-        if r is None:
-            raise DomainError("nu_side needs r")
-        return nu_side(n, j, r)
-    if side == "lambda_side":
-        return lambda_side(n, j)
-    raise DomainError("unknown side %r" % side)
-
-
 def rank_family_gen(n: int, j: int, force: bool = False) -> Poly:
     """Sum of q^|lambda| over partitions with largest part at most
     n+j-2, at most n parts, and every successive rank below j-1."""
     if n < 0 or j < 1:
         raise DomainError("need n >= 0 and j >= 1")
-    acc: dict[int, int] = {0: 0}
-    top = 0
-    for lam in enumerate_partitions(n + j - 2, max_length=n, force=force):
-        if all(rk < j - 1 for rk in successive_ranks(lam)):
-            w = sum(lam)
-            acc[w] = acc.get(w, 0) + 1
-            top = max(top, w)
-    return Poly._raw(tuple(acc.get(i, 0) for i in range(top + 1)))
+    return Poly.from_counts(Counter(
+        sum(lam) for lam in enumerate_partitions(n + j - 2, max_length=n, force=force)
+        if all(rk < j - 1 for rk in successive_ranks(lam))))

@@ -63,6 +63,14 @@ class Poly:
         return cls._raw((0, 1))
 
     @classmethod
+    def from_counts(cls, counts):
+        """Sum of c * q^k over the items k -> c of a mapping; zero if empty."""
+        out = [0] * (max(counts) + 1 if counts else 0)
+        for k, c in counts.items():
+            out[k] += c
+        return cls._raw(out)
+
+    @classmethod
     def monomial(cls, k, c=1):
         """c * q^k."""
         if k < 0:
@@ -410,6 +418,3 @@ def rational_equal(x: RationalForm, y: RationalForm) -> bool:
     """Cross-multiplied equality; no gcd, no cancellation, ever."""
     return x.num * y.den == y.num * x.den
 
-
-def as_rational(p: Poly) -> RationalForm:
-    return RationalForm(p, Poly.one())

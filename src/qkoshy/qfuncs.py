@@ -48,7 +48,9 @@ def q_pochhammer(sign: str, a: int, r: int) -> Poly:
     return out
 
 
-def _one_minus_q_to(k: int) -> Poly:
+@lru_cache(maxsize=512)
+def one_minus_q_to(k: int) -> Poly:
+    """1 - q^k for k >= 1."""
     return Poly._raw((1,) + (0,) * (k - 1) + (-1,))
 
 
@@ -63,7 +65,7 @@ def q_binomial(m: int, k: int) -> Poly:
     out = Poly.one()
     for t in range(1, k + 1):
         # partial product stays the polynomial [m-k+t choose t]_q
-        out = exact_div(out * _one_minus_q_to(m - k + t), _one_minus_q_to(t))
+        out = exact_div(out * one_minus_q_to(m - k + t), one_minus_q_to(t))
     return out
 
 
@@ -224,8 +226,21 @@ def t_term_poly(r: int, n: int, j: int) -> Poly:
     if n < 2 * r - j:
         return Poly.zero()
     core = q_binomial_sq(n, r) * q_binomial(2 * n + j - 1 - 2 * r, n - 1)
-    num = core * _one_minus_q_to(j)
-    return exact_div(num, _one_minus_q_to(n)).shift(r * r - r)
+    num = core * one_minus_q_to(j)
+    return exact_div(num, one_minus_q_to(n)).shift(r * r - r)
+
+
+def t_term_diff(r: int, n: int) -> Poly:
+    """The j = 1 term in difference form, for n >= max(1, 2r-1):
+    q^(r^2-r) ([n choose r]_{q^2} [2n-2r choose n-1]_q
+    - (q + q^(n+1)) [n-1 choose r]_{q^2} [2n-2r-1 choose n-2]_q).
+    The subtracted product is left out at n = 1, where its vanishing
+    first factor meets out-of-range binomial indices."""
+    t = q_binomial_sq(n, r) * q_binomial(2 * n - 2 * r, n - 1)
+    if n >= 2:
+        sub = q_binomial_sq(n - 1, r) * q_binomial(2 * n - 2 * r - 1, n - 2)
+        t = t - sub * (Poly.q() + Poly.monomial(n + 1))
+    return t.shift(r * r - r)
 
 
 def t_term(r: int, n: int, j: int = 1) -> TTermForms:
@@ -245,14 +260,8 @@ def t_term(r: int, n: int, j: int = 1) -> TTermForms:
     if j != 1:
         return TTermForms(r=r, n=n, j=j, tr21=t_term_poly(r, n, j), general_j=general)
 
-    # j = 1: the difference form is already a polynomial.  The subtracted
-    # product is guarded because at n = 1 its vanishing first factor is
-    # paired with out-of-range binomial indices.
-    tr21 = lead * q_binomial_sq(n, r) * q_binomial(2 * n - 2 * r, n - 1)
-    if n >= 2:
-        sub = q_binomial_sq(n - 1, r) * q_binomial(2 * n - 2 * r - 1, n - 2)
-        if sub:
-            tr21 = tr21 - lead * sub * (Poly.q() + Poly.monomial(n + 1))
+    # j = 1: the difference form is already a polynomial
+    tr21 = t_term_diff(r, n)
     andrews = RationalForm(
         lead
         * q_pochhammer("-", n - r + 1, r)

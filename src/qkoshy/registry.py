@@ -1,26 +1,30 @@
 """Registry of executable identity checks.
 
-Each row binds an identity id to a cell generator and a per-cell
-checker.  Checkers return None on success or a small dict with rendered
-left/right values and a difference; verify() walks the sorted cells,
-stops at the first counterexample, and wraps the outcome in an
+Each row binds an identity id to a per-cell checker and declares its
+parameters: a floor below which a parameter leaves the identity's
+domain, a default range and a cap, plus at most one predicate over the
+whole cell.  Checkers return None on success or a small dict with
+rendered left/right values and a difference; verify() walks the sorted
+cells, stops at the first counterexample, and wraps the outcome in an
 IdentityReport.  All comparisons are exact; a domain error raised by a
 checker is reported as a failure, never swallowed.
 """
 
 from __future__ import annotations
 
+import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd
 from multiprocessing import Pool
 
 from . import dyckpaths as dp
 from . import partitions as pt
-from .errors import DomainError, QKoshyError, ScaleLimit, UnknownIdentity
-from .poly import Poly, RationalForm, rational_equal, shape
+from .errors import DivisionInexact, DomainError, QKoshyError, ScaleLimit, UnknownIdentity
+from .poly import Poly, RationalForm, exact_div, rational_equal, shape, unimodal_break_index
 from .qfuncs import (
     ballot_number,
     catalan,
@@ -33,6 +37,7 @@ from .qfuncs import (
     q_int,
     q_lucas_check,
     t_term,
+    t_term_diff,
     t_term_poly,
 )
 
@@ -63,15 +68,15 @@ CSV_HEADER = (
 )
 
 
+def csv_field(value) -> str:
+    """One CSV field, quoted when it holds a comma, a quote or a newline."""
+    s = str(value)
+    if any(c in s for c in ',"\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def report_csv_row(rep: IdentityReport) -> str:
-    import json
-
-    def esc(s: str) -> str:
-        s = str(s)
-        if any(c in s for c in ',"\n'):
-            return '"' + s.replace('"', '""') + '"'
-        return s
-
     ce = rep.counterexample or {}
     cells = [
         rep.identity,
@@ -81,20 +86,31 @@ def report_csv_row(rep: IdentityReport) -> str:
         ce.get("left", ""),
         ce.get("right", ""),
         ce.get("diff", ""),
-        str(rep.cells_checked),
-        str(rep.elapsed_ms),
+        rep.cells_checked,
+        rep.elapsed_ms,
     ]
-    return ",".join(esc(c) for c in cells)
+    return ",".join(csv_field(c) for c in cells)
 
 
 @dataclass(frozen=True)
 class Check:
+    """One registry row.
+
+    params maps each parameter, in the order the checker takes a cell's
+    values, to (floor, default lo, default hi, cap); keep, if given, is a
+    predicate over a whole cell.
+    """
+
     id: str
-    params: tuple
-    defaults: dict
-    caps: dict
-    cells: object
     checker: object
+    params: dict
+    keep: object = None
+
+    def cells(self, bounds: dict) -> list:
+        """The cells of a box in sorted order, each bound clipped at its floor."""
+        axes = [range(max(bounds[k][0], floor), bounds[k][1] + 1)
+                for k, (floor, _, _, _) in self.params.items()]
+        return [c for c in product(*axes) if self.keep is None or self.keep(*c)]
 
 
 def _eq(left, right):
@@ -113,26 +129,11 @@ def _fail(left, right, diff):
     return {"left": str(left), "right": str(right), "diff": str(diff)}
 
 
-def _rng(bounds, name):
-    lo, hi = bounds[name]
-    return range(lo, hi + 1)
-
-
 _ONE_MINUS_Q = Poly(1, -1)
 
 
 def _omq_pow(k: int) -> Poly:
     return _ONE_MINUS_Q ** k
-
-
-def _fhat(t: int) -> Poly:
-    # peak polynomial with the empty path counted once at t = 0
-    return Poly.one() if t == 0 else narayana_poly(t).shift(1)
-
-
-def _fpath(t: int) -> Poly:
-    # peak polynomial of nonempty paths only; zero at t = 0
-    return Poly.zero() if t == 0 else narayana_poly(t).shift(1)
 
 
 # -- checkers ---------------------------------------------------------
@@ -181,15 +182,15 @@ def _chk_lassalle(n):
 
 
 def _chk_lassalle_transform(n):
-    lhs = _fpath(n)
+    lhs = dp.peak_dist(n)
     rhs = _omq_pow(n - 1).shift(1)
     for m in range(1, n + 1):
         sgn = 1 if m % 2 == 1 else -1
-        for k in range(m, n + 1):
+        for k in range(m, n):    # the k = n term counts empty paths: zero
             c = comb(k - 1, m - 1) * comb(n - k + 1, m)
             if not c:
                 continue
-            term = (_omq_pow(k - m) * _fpath(n - k) * c).shift(m)
+            term = (_omq_pow(k - m) * dp.peak_dist(n - k) * c).shift(m)
             rhs = rhs + (term if sgn == 1 else -term)
     den = _omq_pow(n)
     if rational_equal(RationalForm(lhs, den), RationalForm(rhs, den)):
@@ -198,7 +199,7 @@ def _chk_lassalle_transform(n):
 
 
 def _chk_tower_ie(n):
-    lhs = _fpath(n)
+    lhs = dp.peak_dist(n)
     rhs = Poly.zero()
     for m in range(1, n + 1):
         a = dp.labeled_gen(n, "colored-towers", m, "peak-weight-q")
@@ -213,7 +214,7 @@ def _chk_tower_closed(n, m):
         c = comb(n - k + 1, m) * comb(k - 1, m - 1)
         if not c:
             continue
-        rhs = rhs + (_omq_pow(k - m) * _fhat(n - k) * c).shift(m)
+        rhs = rhs + (_omq_pow(k - m) * dp.peak_dist(n - k) * c).shift(m)
     return _eq(lhs, rhs)
 
 
@@ -288,11 +289,8 @@ def _chk_lemma2(n, m, r):
 
 @lru_cache(maxsize=None)
 def _brute_tuple_peaks(t, r):
-    acc = {}
-    for tup in dp.iter_ballot_tuples(t, r):
-        pk = sum(p.count("UD") for p in tup)
-        acc[pk] = acc.get(pk, 0) + 1
-    return Poly._raw(tuple(acc.get(i, 0) for i in range(max(acc) + 1)))
+    return Poly.from_counts(Counter(
+        sum(p.count("UD") for p in tup) for tup in dp.iter_ballot_tuples(t, r)))
 
 
 def _chk_ballot_lassalle(n, r):
@@ -309,19 +307,10 @@ def _chk_ballot_lassalle(n, r):
     return _eq(lhs, rhs)
 
 
-def _tr21(r, n):
-    lead = r * r - r
-    t = (q_binomial_sq(n, r) * q_binomial(2 * n - 2 * r, n - 1)).shift(lead)
-    if n >= 2:
-        sub = q_binomial_sq(n - 1, r) * q_binomial(2 * n - 2 * r - 1, n - 2)
-        t = t - (sub * (Poly.q() + Poly.monomial(n + 1))).shift(lead)
-    return t
-
-
 def _chk_andrews(n):
     total = Poly.zero()
     for r in range(1, (n + 1) // 2 + 1):    # terms vanish below n = 2r-1
-        t = _tr21(r, n)
+        t = t_term_diff(r, n)
         total = total + (t if r % 2 == 1 else -t)
     return _eq(total, q_catalan(n))
 
@@ -395,9 +384,6 @@ def _divisors(k):
 
 
 def _chk_cyclo_div(n, r):
-    from .poly import exact_div
-    from .errors import DivisionInexact
-
     d = gcd(n, r)
     binom = q_binomial(2 * n - 2 * r, n - 1)
     if binom.is_zero():
@@ -428,16 +414,13 @@ def _chk_invT(n):
         box = n - 1
         total = Poly.zero()
         for r in pt.level_range(n, 1):
-            ms = Poly.zero()
-            for mu in pt.enumerate_partitions(
+            ms = Counter(2 * sum(mu) for mu in pt.enumerate_partitions(
                 box, exact_length=r, strict=True,
                 cap_schedule=[box - i for i in range(r)],
-            ):
-                ms = ms + Poly.q() ** (2 * sum(mu))
-            ns = Poly.zero()
-            for nu in pt.enumerate_partitions(box, exact_length=n + 1 - 2 * r):
-                ns = ns + Poly.q() ** sum(nu)
-            term = ms * ns
+            ))
+            ns = Counter(sum(nu) for nu in pt.enumerate_partitions(
+                box, exact_length=n + 1 - 2 * r))
+            term = Poly.from_counts(ms) * Poly.from_counts(ns)
             total = total + (term if r % 2 == 0 else -term)
         if not total.is_zero():
             return _fail(total, 0, "alternating partition sum did not vanish")
@@ -461,17 +444,12 @@ def _chk_partheo(n, r):
 
 @lru_cache(maxsize=32)
 def _iepar_table(n):
-    box = n - 1
     table = {}
-    for lam in pt.enumerate_partitions(box, exact_length=n + 1):
-        rep = pt.repetition_statistic(lam)
+    for lam in pt.enumerate_partitions(n - 1, exact_length=n + 1):
+        acc = table.setdefault(pt.repetition_statistic(lam), {})
         w = sum(lam)
-        table.setdefault(rep, {})
-        table[rep][w] = table[rep][w] + 1 if w in table[rep] else 1
-    return {
-        rep: Poly._raw(tuple(acc.get(i, 0) for i in range(max(acc) + 1)))
-        for rep, acc in table.items()
-    }
+        acc[w] = acc.get(w, 0) + 1
+    return {rep: Poly.from_counts(acc) for rep, acc in table.items()}
 
 
 def _chk_iepar(n, r):
@@ -533,20 +511,12 @@ def _chk_qlucas(m, k, d):
 
 
 def _chk_maj_catalan(n):
-    acc = {}
-    for p in dp.iter_dyck(n):
-        w = dp.major_index(p)
-        acc[w] = acc.get(w, 0) + 1
-    lhs = Poly._raw(tuple(acc.get(i, 0) for i in range(max(acc) + 1)))
+    lhs = Poly.from_counts(Counter(dp.major_index(p) for p in dp.iter_dyck(n)))
     return _eq(lhs, q_catalan(n))
 
 
 def _chk_maj_ballot(n, j):
-    acc = {}
-    for p in dp.iter_ballot_paths(n, j):
-        w = dp.major_index(p)
-        acc[w] = acc.get(w, 0) + 1
-    lhs = Poly._raw(tuple(acc.get(i, 0) for i in range(max(acc) + 1)))
+    lhs = Poly.from_counts(Counter(dp.major_index(p) for p in dp.iter_ballot_paths(n, j)))
     return _eq(lhs, q_ballot(j, n))
 
 
@@ -558,181 +528,77 @@ def _chk_brunetti(n, r):
     p = q_int(gcd(n, r)) * q_binomial(n, r)
     sh = shape(p)
     if not sh.is_unimodal:
-        from .poly import unimodal_break_index
         return _fail(p, "unimodal", "break at q^%d" % unimodal_break_index(p))
     if not sh.is_reciprocal:
         return _fail(p, "reciprocal", "coefficient list is not palindromic")
     return None
 
 
-# -- cell builders ----------------------------------------------------
+# -- rows: each parameter is (floor, default lo, default hi, cap) -------
 
-
-def _cells_n(bounds, lo_floor=None):
-    lo, hi = bounds["n"]
-    if lo_floor is not None:
-        lo = max(lo, lo_floor)
-    return [(n,) for n in range(lo, hi + 1)]
-
-
-def _cells_upeak_label(bounds):
-    out = []
-    for n in _rng(bounds, "n"):
-        for m in _rng(bounds, "m"):
-            if m <= n + 1:
-                out.append((n, m))
-    return sorted(out)
-
-
-def _cells_tower_closed(bounds):
-    return sorted((n, m) for n in _rng(bounds, "n")
-                  for m in _rng(bounds, "m") if 1 <= m <= n)
-
-
-def _cells_lemma1(bounds):
-    return sorted((n, m) for n in _rng(bounds, "n")
-                  for m in _rng(bounds, "m") if 1 <= m <= n)
-
-
-def _cells_lemma2(bounds):
-    return sorted((n, m, r) for n in _rng(bounds, "n")
-                  for m in _rng(bounds, "m") if 1 <= m <= n
-                  for r in _rng(bounds, "r") if 1 <= r <= m)
-
-
-def _cells_ballot_lassalle(bounds):
-    return sorted((n, r) for n in _rng(bounds, "n") if n >= 1
-                  for r in _rng(bounds, "r") if r >= 0)
-
-
-def _cells_t_forms(bounds):
-    return sorted((n, r) for n in _rng(bounds, "n") if n >= 1
-                  for r in _rng(bounds, "r")
-                  if 1 <= r <= min(n, (n + 1) // 2))
-
-
-def _cells_theorem1_even(bounds):
-    return sorted((n, r) for n in _rng(bounds, "n") if n >= 2 and n % 2 == 0
-                  for r in _rng(bounds, "r") if 1 <= r <= n // 2)
-
-
-def _cells_theorem1_odd(bounds):
-    return sorted((n, r) for n in _rng(bounds, "n") if n % 2 == 1
-                  for r in _rng(bounds, "r") if 1 <= r <= (n + 1) // 2)
-
-
-def _cells_theorem1_negq(bounds):
-    return [(r,) for r in _rng(bounds, "r") if r >= 1]
-
-
-def _cells_cyclo_div(bounds):
-    return sorted((n, r) for n in _rng(bounds, "n") if n >= 2 and n % 2 == 0
-                  for r in _rng(bounds, "r") if 1 <= r <= n // 2)
-
-
-def _cells_partheo(bounds):
-    return sorted((n, r) for n in _rng(bounds, "n") if n >= 1
-                  for r in _rng(bounds, "r") if r in pt.level_range(n, 1))
-
-
-def _cells_iepar(bounds):
-    return sorted((n, r) for n in _rng(bounds, "n") if n >= 2
-                  for r in _rng(bounds, "r") if r in pt.level_range(n, 1))
-
-
-def _cells_nj(bounds, n_floor=1):
-    return sorted((n, j) for n in _rng(bounds, "n") if n >= n_floor
-                  for j in _rng(bounds, "j") if j >= 1)
-
-
-def _cells_tj_poly(bounds):
-    return sorted((n, r, j) for n in _rng(bounds, "n") if n >= 1
-                  for j in _rng(bounds, "j") if j >= 1
-                  for r in _rng(bounds, "r")
-                  if 1 <= r <= min(n, (n + j) // 2))
-
-
-def _cells_tj_negq(bounds):
-    return sorted((r, j) for r in _rng(bounds, "r") if r >= 1
-                  for j in _rng(bounds, "j") if 1 <= j <= r)
-
-
-def _cells_qlucas(bounds):
-    return sorted((m, k, d) for m in _rng(bounds, "m") if m >= 0
-                  for k in _rng(bounds, "k") if 0 <= k <= m
-                  for d in _rng(bounds, "d") if d >= 2)
-
-
-def _cells_brunetti(bounds):
-    return sorted((n, r) for n in _rng(bounds, "n") if n >= 2
-                  for r in _rng(bounds, "r") if 1 <= r <= n - 1)
-
-
-CHECKS: dict[str, Check] = {}
-
-
-def _register(id, params, defaults, caps, cells, checker):
-    CHECKS[id] = Check(id, params, defaults, caps, cells, checker)
-
-
-_register("koshy", ("n",), {"n": (1, 200)}, {"n": 2000},
-          lambda b: _cells_n(b), _chk_koshy)
-_register("upeak-label", ("n", "m"), {"n": (0, 10), "m": (0, 11)},
-          {"n": 12, "m": 14}, _cells_upeak_label, _chk_upeak_label)
-_register("upeak-gf", ("n",), {"n": (0, 12)}, {"n": 13},
-          lambda b: _cells_n(b), _chk_upeak_gf)
-_register("lassalle", ("n",), {"n": (1, 60)}, {"n": 200},
-          lambda b: _cells_n(b, 1), _chk_lassalle)
-_register("lassalle-transform", ("n",), {"n": (1, 20)}, {"n": 120},
-          lambda b: _cells_n(b, 1), _chk_lassalle_transform)
-_register("tower-ie", ("n",), {"n": (1, 9)}, {"n": 12},
-          lambda b: _cells_n(b, 1), _chk_tower_ie)
-_register("tower-closed", ("n", "m"), {"n": (1, 9), "m": (1, 9)},
-          {"n": 12, "m": 12}, _cells_tower_closed, _chk_tower_closed)
-_register("lemma1", ("n", "m"), {"n": (1, 8), "m": (1, 8)},
-          {"n": 10, "m": 10}, _cells_lemma1, _chk_lemma1)
-_register("lemma2", ("n", "m", "r"), {"n": (1, 8), "m": (1, 8), "r": (1, 8)},
-          {"n": 10, "m": 10, "r": 10}, _cells_lemma2, _chk_lemma2)
-_register("ballot-lassalle", ("n", "r"), {"n": (1, 8), "r": (0, 3)},
-          {"n": 10, "r": 6}, _cells_ballot_lassalle, _chk_ballot_lassalle)
-_register("andrews", ("n",), {"n": (1, 60)}, {"n": 120},
-          lambda b: _cells_n(b, 1), _chk_andrews)
-_register("t-forms", ("n", "r"), {"n": (1, 30), "r": (1, 30)},
-          {"n": 80, "r": 80}, _cells_t_forms, _chk_t_forms)
-_register("theorem1-even", ("n", "r"), {"n": (1, 60), "r": (1, 60)},
-          {"n": 120, "r": 120}, _cells_theorem1_even, _chk_theorem1_even)
-_register("theorem1-odd", ("n", "r"), {"n": (1, 60), "r": (1, 60)},
-          {"n": 120, "r": 120}, _cells_theorem1_odd, _chk_theorem1_odd)
-_register("theorem1-negq", ("r",), {"r": (1, 30)}, {"r": 60},
-          _cells_theorem1_negq, _chk_theorem1_negq)
-_register("cyclo-div", ("n", "r"), {"n": (2, 40), "r": (1, 40)},
-          {"n": 100, "r": 100}, _cells_cyclo_div, _chk_cyclo_div)
-_register("invT", ("n",), {"n": (2, 40)}, {"n": 80},
-          lambda b: _cells_n(b, 2), _chk_invT)
-_register("partheo", ("n", "r"), {"n": (1, 12), "r": (0, 12)},
-          {"n": 30, "r": 15}, _cells_partheo, _chk_partheo)
-_register("iepar", ("n", "r"), {"n": (2, 10), "r": (0, 10)},
-          {"n": 12, "r": 12}, _cells_iepar, _chk_iepar)
-_register("qballot-forms", ("n", "j"), {"n": (1, 40), "j": (1, 6)},
-          {"n": 120, "j": 12}, _cells_nj, _chk_qballot_forms)
-_register("qballot-koshy", ("n", "j"), {"n": (1, 40), "j": (1, 6)},
-          {"n": 120, "j": 12}, _cells_nj, _chk_qballot_koshy)
-_register("tj-poly", ("n", "r", "j"),
-          {"n": (1, 40), "r": (1, 40), "j": (1, 6)},
-          {"n": 120, "r": 60, "j": 12}, _cells_tj_poly, _chk_tj_poly)
-_register("tj-negq", ("r", "j"), {"r": (1, 40), "j": (1, 40)},
-          {"r": 60, "j": 60}, _cells_tj_negq, _chk_tj_negq)
-_register("qlucas", ("m", "k", "d"),
-          {"m": (0, 40), "k": (0, 40), "d": (2, 12)},
-          {"m": 120, "k": 120, "d": 40}, _cells_qlucas, _chk_qlucas)
-_register("maj-catalan", ("n",), {"n": (0, 10)}, {"n": 13},
-          lambda b: _cells_n(b), _chk_maj_catalan)
-_register("maj-ballot", ("n", "j"), {"n": (1, 8), "j": (1, 4)},
-          {"n": 10, "j": 8}, _cells_nj, _chk_maj_ballot)
-_register("succ-ranks", ("n", "j"), {"n": (1, 8), "j": (1, 4)},
-          {"n": 10, "j": 6}, _cells_nj, _chk_succ_ranks)
-_register("brunetti-instance", ("n", "r"), {"n": (2, 60), "r": (1, 60)},
-          {"n": 200, "r": 200}, _cells_brunetti, _chk_brunetti)
+CHECKS: dict[str, Check] = {chk.id: chk for chk in (
+    Check("koshy", _chk_koshy, {"n": (1, 1, 200, 2000)}),
+    Check("upeak-label", _chk_upeak_label,
+          {"n": (0, 0, 10, 12), "m": (0, 0, 11, 14)},
+          lambda n, m: m <= n + 1),
+    Check("upeak-gf", _chk_upeak_gf, {"n": (0, 0, 12, 13)}),
+    Check("lassalle", _chk_lassalle, {"n": (1, 1, 60, 200)}),
+    Check("lassalle-transform", _chk_lassalle_transform, {"n": (1, 1, 20, 120)}),
+    Check("tower-ie", _chk_tower_ie, {"n": (1, 1, 9, 12)}),
+    Check("tower-closed", _chk_tower_closed,
+          {"n": (1, 1, 9, 12), "m": (1, 1, 9, 12)},
+          lambda n, m: m <= n),
+    Check("lemma1", _chk_lemma1,
+          {"n": (1, 1, 8, 10), "m": (1, 1, 8, 10)},
+          lambda n, m: m <= n),
+    Check("lemma2", _chk_lemma2,
+          {"n": (1, 1, 8, 10), "m": (1, 1, 8, 10), "r": (1, 1, 8, 10)},
+          lambda n, m, r: r <= m <= n),
+    Check("ballot-lassalle", _chk_ballot_lassalle,
+          {"n": (1, 1, 8, 10), "r": (0, 0, 3, 6)}),
+    Check("andrews", _chk_andrews, {"n": (1, 1, 60, 120)}),
+    Check("t-forms", _chk_t_forms,
+          {"n": (1, 1, 30, 80), "r": (1, 1, 30, 80)},
+          lambda n, r: r <= (n + 1) // 2),
+    Check("theorem1-even", _chk_theorem1_even,
+          {"n": (2, 1, 60, 120), "r": (1, 1, 60, 120)},
+          lambda n, r: n % 2 == 0 and r <= n // 2),
+    Check("theorem1-odd", _chk_theorem1_odd,
+          {"n": (1, 1, 60, 120), "r": (1, 1, 60, 120)},
+          lambda n, r: n % 2 == 1 and r <= (n + 1) // 2),
+    Check("theorem1-negq", _chk_theorem1_negq, {"r": (1, 1, 30, 60)}),
+    Check("cyclo-div", _chk_cyclo_div,
+          {"n": (2, 2, 40, 100), "r": (1, 1, 40, 100)},
+          lambda n, r: n % 2 == 0 and r <= n // 2),
+    Check("invT", _chk_invT, {"n": (2, 2, 40, 80)}),
+    Check("partheo", _chk_partheo,
+          {"n": (1, 1, 12, 30), "r": (0, 0, 12, 15)},
+          lambda n, r: r in pt.level_range(n, 1)),
+    Check("iepar", _chk_iepar,
+          {"n": (2, 2, 10, 12), "r": (0, 0, 10, 12)},
+          lambda n, r: r in pt.level_range(n, 1)),
+    Check("qballot-forms", _chk_qballot_forms,
+          {"n": (1, 1, 40, 120), "j": (1, 1, 6, 12)}),
+    Check("qballot-koshy", _chk_qballot_koshy,
+          {"n": (1, 1, 40, 120), "j": (1, 1, 6, 12)}),
+    Check("tj-poly", _chk_tj_poly,
+          {"n": (1, 1, 40, 120), "r": (1, 1, 40, 60), "j": (1, 1, 6, 12)},
+          lambda n, r, j: r <= min(n, (n + j) // 2)),
+    Check("tj-negq", _chk_tj_negq,
+          {"r": (1, 1, 40, 60), "j": (1, 1, 40, 60)},
+          lambda r, j: j <= r),
+    Check("qlucas", _chk_qlucas,
+          {"m": (0, 0, 40, 120), "k": (0, 0, 40, 120), "d": (2, 2, 12, 40)},
+          lambda m, k, d: k <= m),
+    Check("maj-catalan", _chk_maj_catalan, {"n": (0, 0, 10, 13)}),
+    Check("maj-ballot", _chk_maj_ballot,
+          {"n": (1, 1, 8, 10), "j": (1, 1, 4, 8)}),
+    Check("succ-ranks", _chk_succ_ranks,
+          {"n": (1, 1, 8, 10), "j": (1, 1, 4, 6)}),
+    Check("brunetti-instance", _chk_brunetti,
+          {"n": (2, 2, 60, 200), "r": (1, 1, 60, 200)},
+          lambda n, r: r < n),
+)}
 
 
 def list_identities():
@@ -756,27 +622,27 @@ def verify(identity_id: str, bounds: dict | None = None, jobs: int = 1,
     """Run one registry row over a parameter box and report the outcome.
 
     bounds maps parameter names to inclusive (lo, hi) pairs and merges
-    over the row's defaults; cells are checked in sorted order and the
-    first counterexample ends the run.  force bypasses the per-row caps,
-    though enumeration-backed rows still hit the hard path-count guards.
+    over the row's defaults; the report keeps these bounds, while cells
+    below a parameter's floor are left out.  Cells are checked in sorted
+    order and the first counterexample ends the run.  force bypasses the
+    per-row caps, though enumeration-backed rows still hit the hard
+    path-count guards.
     """
     if identity_id not in CHECKS:
         raise UnknownIdentity("no identity %r; known: %s"
                               % (identity_id, ", ".join(CHECKS)))
     chk = CHECKS[identity_id]
-    eff = {k: tuple(v) for k, v in chk.defaults.items()}
+    eff = {k: (lo, hi) for k, (_, lo, hi, _) in chk.params.items()}
     for k, v in (bounds or {}).items():
         if k not in eff:
             raise DomainError("identity %s has no parameter %r" % (identity_id, k))
-        lo, hi = int(v[0]), int(v[1])
-        eff[k] = (lo, hi)
+        eff[k] = (int(v[0]), int(v[1]))
     if not force:
-        for k, (lo, hi) in eff.items():
-            cap = chk.caps.get(k)
-            if cap is not None and hi > cap:
+        for k, (_, _, _, cap) in chk.params.items():
+            if eff[k][1] > cap:
                 raise ScaleLimit("%s: %s up to %d exceeds guard %d"
-                                 % (identity_id, k, hi, cap))
-    cells = sorted(chk.cells(eff))
+                                 % (identity_id, k, eff[k][1], cap))
+    cells = chk.cells(eff)
     t0 = time.perf_counter()
     found = None
     checked = 0

@@ -112,6 +112,41 @@ def test_verify_text_and_csv(capsys):
     assert lines[1].startswith("koshy,")
 
 
+@pytest.mark.parametrize("argv,cells", [
+    (["--id", "koshy", "--n=-3..2"], 2),
+    (["--id", "upeak-label", "--n=0..2", "--m=-2..0"], 3),
+    (["--id", "upeak-gf", "--n=-1..2"], 3),
+    (["--id", "maj-catalan", "--n=-1..2"], 3),
+])
+def test_verify_below_floor_is_clipped(capsys, argv, cells):
+    assert run(["verify"] + argv + ["--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    d = json.loads(out)
+    assert d["status"] == "pass" and d["counterexample"] is None
+    assert d["cells_checked"] == cells
+    assert err.startswith("# ") and len(err.splitlines()) == 1
+
+
+def test_verify_qlucas_k_and_d_flags(capsys):
+    assert run(["verify", "--id", "qlucas", "--k", "0..3", "--d", "2..5",
+                "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["status"] == "pass"
+    assert d["params"] == {"d": [2, 5], "k": [0, 3], "m": [0, 40]}
+    # m in 0..40 with k <= min(m, 3), for each of four moduli
+    assert d["cells_checked"] == 4 * (1 + 2 + 3 + 4 * 38)
+
+
+def test_verify_help_lists_rows(capsys):
+    assert run(["verify", "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for ident, chk in registry.CHECKS.items():
+        row = [ln for ln in lines if ln.split()[:1] == [ident]]
+        assert len(row) == 1, ident
+        for name, (floor, lo, hi, cap) in chk.params.items():
+            assert "%s=%d..%d (floor %d, cap %d)" % (name, lo, hi, floor, cap) in row[0]
+
+
 def test_verify_failure_exit_1(capsys, monkeypatch):
     orig = registry.CHECKS["koshy"]
 

@@ -100,6 +100,20 @@ def test_rows_pass_on_reduced_grids(ident):
     assert rep.cells_checked > 0
 
 
+@pytest.mark.parametrize("ident", list(registry.CHECKS))
+def test_bounds_below_floor_are_clipped(ident):
+    # a box one below a floor checks exactly the cells of the box at it
+    params = registry.CHECKS[ident].params
+    box = {k: (floor, floor + 3) for k, (floor, _, _, _) in params.items()}
+    at = registry.verify(ident, bounds=box)
+    assert at.status == "pass" and at.cells_checked > 0, at.to_dict()
+    for k, (lo, hi) in box.items():
+        below = registry.verify(ident, bounds=dict(box, **{k: (lo - 1, hi)}))
+        assert below.status == "pass", below.to_dict()
+        assert below.cells_checked == at.cells_checked, k
+        assert below.params[k] == [lo - 1, hi]
+
+
 def test_unknown_identity():
     with pytest.raises(UnknownIdentity):
         registry.verify("no-such-id")

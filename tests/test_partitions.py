@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from qkoshy.errors import DomainError, InvariantViolation, ScaleLimit
+from qkoshy.errors import InvariantViolation, ScaleLimit
 from qkoshy.partitions import (
     PartitionPair,
     conjugate,
@@ -17,7 +17,6 @@ from qkoshy.partitions import (
     rank_family_gen,
     render_partition,
     repetition_statistic,
-    side_gen,
     successive_ranks,
 )
 from qkoshy.poly import Poly
@@ -121,12 +120,6 @@ def test_side_gen_frozen_spots():
     assert mu_side(3, 1, 1) == Poly(0, 0, 1, 0, 1)  # q^2 + q^4
     assert nu_side(2, 1, 1) == Poly(0, 1)
     assert lambda_side(2, 1) == Poly.monomial(3)
-    assert side_gen("mu_side", 3, 1, 1) == mu_side(3, 1, 1)
-    assert side_gen("lambda_side", 2, 1) == lambda_side(2, 1)
-    with pytest.raises(DomainError):
-        side_gen("mu_side", 3, 1)
-    with pytest.raises(DomainError):
-        side_gen("nope", 3, 1, 1)
 
 
 def test_sides_match_enumeration():

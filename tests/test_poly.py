@@ -6,7 +6,6 @@ from qkoshy.errors import DivisionInexact, DomainError, NonMonicModulus, Unsuppo
 from qkoshy.poly import (
     Poly,
     RationalForm,
-    as_rational,
     exact_div,
     poly_remainder,
     rational_equal,
@@ -137,6 +136,12 @@ def test_unimodal_break_index():
     assert unimodal_break_index(Poly(0, 0, 5)) is None
 
 
+def test_from_counts():
+    assert Poly.from_counts({}) == Poly.zero()
+    assert Poly.from_counts({3: 0, 1: 0}) == Poly.zero()
+    assert Poly.from_counts({2: 3, 0: 1, 5: 0}) == Poly(1, 0, 3)
+
+
 def test_rational_forms():
     one, q = Poly.one(), Poly.q()
     a = RationalForm(Poly(1, 1), one - q)
@@ -144,6 +149,6 @@ def test_rational_forms():
     assert rational_equal(a, b)
     assert not rational_equal(a, RationalForm(q, one - q))
     c = RationalForm(Poly(1, 1) * (one - q), one - q)
-    assert rational_equal(as_rational(Poly(1, 1)), c)
+    assert rational_equal(RationalForm(Poly(1, 1), one), c)
     with pytest.raises(ZeroDivisionError):
         RationalForm(one, Poly.zero())

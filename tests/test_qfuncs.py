@@ -1,7 +1,7 @@
 import pytest
 
 from qkoshy.errors import DomainError
-from qkoshy.poly import Poly, as_rational, exact_div, rational_equal, shape
+from qkoshy.poly import Poly, RationalForm, exact_div, rational_equal, shape
 from qkoshy.qfuncs import (
     ballot_number,
     catalan,
@@ -205,7 +205,7 @@ def test_t_term_forms_are_one_polynomial():
         for r in range(1, (n + 1) // 2 + 1):
             forms = t_term(r, n)
             assert forms.tr21 == t_term_poly(r, n, 1)
-            ref = as_rational(forms.tr21)
+            ref = RationalForm(forms.tr21, Poly.one())
             for name, form in forms.rational_forms():
                 assert rational_equal(form, ref), (n, r, name)
             if forms.tr22_parts is not None:
