@@ -12,13 +12,19 @@ violating cell, because a refutation is the interesting outcome here.
 
 The odd-n sweep also spot-checks the downstream consequence that motivates
 it: the quotient polynomials from the factor family stay coefficientwise
-nonnegative for odd n >= 2r + 1 (checked up to n = 60).
+nonnegative for odd n >= 2r + 1 (checked up to n = 60, in each column
+that has grid cells).
+
+Both sweeps and registry.verify fan out through ordered_map, the one
+process pool of the package.
 """
 
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from itertools import starmap
 from multiprocessing import Pool
 
 from .errors import DomainError, InvariantViolation
@@ -71,7 +77,9 @@ class SweepReport:
 
     @property
     def status(self) -> str:
-        return "pass" if not self.counterexamples else "fail"
+        if self.counterexamples:
+            return "fail"
+        return "skipped" if _box_cells(self.case_id, self.grid) == 0 else "pass"
 
     def to_dict(self) -> dict:
         return {
@@ -97,27 +105,42 @@ def _cell_record(params: dict, p: Poly, index: int) -> dict:
     return {"params": params, "poly": str(p), "break_index": index}
 
 
+def _apply(fn, args):
+    return fn(*args)
+
+
+def ordered_map(fn, tasks, jobs=1, chunksize=1):
+    """Yield fn(*task) for each task, in task order.
+
+    With jobs <= 1 or at most one task this is a plain map in this
+    process; otherwise the tasks go to a pool of jobs worker processes in
+    chunks of chunksize.  Closing the generator early (a break in the
+    caller, under contextlib.closing) terminates the pool.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        yield from starmap(fn, tasks)
+        return
+    with Pool(jobs) as pool:
+        yield from pool.imap(partial(_apply, fn), tasks, chunksize)
+
+
 def _sweep_column(case, n, m_max, j_max, skip):
-    """All cells of one n-column.  Returns (cells_checked, counterexamples).
+    """All cells of one n-column: the grid cells, then for odd-n the
+    consequence cells T_r(n), r <= (n - 1) / 2, when the column has grid
+    cells and n <= CONSEQUENCE_N_CAP.  Grid cells inside the skip box are
+    left out, and so are the consequence cells when n <= min(m_max,
+    n_max) of that box.  Returns (cells_checked, grid counterexamples,
+    consequence counterexamples).
 
     The q-binomial is advanced in m by one multiply/exact-divide pair per
     step instead of being rebuilt, which is what makes the default grid
     cheap.
     """
-    if case == "odd-n":
-        jays = (None,)
-    else:
-        jays = tuple(range(2, j_max + 1, 2))
-        if not jays:
-            return 0, []
+    jays = (None,) if case == "odd-n" else tuple(range(2, j_max + 1, 2))
     start = n
     if skip is not None and n <= skip["n_max"]:
-        jays_covered = all(j is None or j <= skip["j_max"] for j in jays)
-        if jays_covered:
-            start = skip["m_max"] + 1
-            if start > m_max:
-                return 0, []
-            start = max(start, n)
+        if all(j is None or j <= skip["j_max"] for j in jays):
+            start = max(skip["m_max"] + 1, n)
     lead = Poly.one() + Poly.monomial(n)
     mults = {j: lead if j is None else lead * q_int(j) for j in jays}
     checked = 0
@@ -145,29 +168,19 @@ def _sweep_column(case, n, m_max, j_max, skip):
                 if j is not None:
                     params["j"] = j
                 bad.append(_cell_record(params, p, hit))
-    return checked, bad
-
-
-def _sweep_column_star(args):
-    return _sweep_column(*args)
-
-
-def _consequence_cells(n_max, skip):
-    """Nonnegativity of the plain factor-family quotients for odd n >= 2r+1."""
-    checked = 0
-    bad = []
-    for n in range(1, min(n_max, CONSEQUENCE_N_CAP) + 1, 2):
-        if skip is not None and n <= skip["n_max"]:
-            continue
+    consequences = []
+    if case == "odd-n" and n <= min(m_max, CONSEQUENCE_N_CAP) and not (
+        skip is not None and n <= min(skip["m_max"], skip["n_max"])
+    ):
         for r in range(1, (n - 1) // 2 + 1):
             t = t_term_poly(r, n, 1)
             checked += 1
             sh = shape(t)
             if not sh.is_nonnegative:
-                bad.append(
+                consequences.append(
                     _cell_record({"n": n, "r": r}, t, sh.nonneg_prefix_degree + 1)
                 )
-    return checked, bad
+    return checked, bad, consequences
 
 
 def _box_cells(case, box) -> int:
@@ -233,7 +246,9 @@ def sweep(
     skipped, so repeated runs extend coverage instead of repeating it.  The
     persisted box only ever grows: if neither the old box nor the new grid
     contains the other, the one covering more cells is kept, since the
-    frontier records a single fully swept rectangle.
+    frontier records a single fully swept rectangle.  A grid without cells
+    (even-n with j_max < 2, say) is reported as skipped and writes no
+    frontier file.
     """
     if case not in CASES:
         raise DomainError("unknown conjecture case %r" % (case,))
@@ -245,28 +260,21 @@ def sweep(
     prior = _load_frontier(frontier_path, case) if frontier_path else None
     skip = prior["verified"] if prior else None
 
-    columns = [
+    grid = {"m_max": m_max, "n_max": n_max, "j_max": j_max}
+    empty = _box_cells(case, grid) == 0
+    columns = [] if empty else [
         (case, n, m_max, j_max, skip)
         for n in range(1 if case == "odd-n" else 2, n_max + 1, 2)
     ]
     checked = 0
     bad = []
-    if jobs > 1 and len(columns) > 1:
-        with Pool(processes=jobs) as pool:
-            for cells, hits in pool.imap(_sweep_column_star, columns):
-                checked += cells
-                bad.extend(hits)
-    else:
-        for args in columns:
-            cells, hits = _sweep_column(*args)
-            checked += cells
-            bad.extend(hits)
-    if case == "odd-n":
-        cells, hits = _consequence_cells(n_max, skip)
+    late = []
+    for cells, hits, consequences in ordered_map(_sweep_column, columns, jobs):
         checked += cells
         bad.extend(hits)
+        late.extend(consequences)
+    bad.extend(late)
 
-    grid = {"m_max": m_max, "n_max": n_max, "j_max": j_max}
     if prior is None:
         frontier = {
             "case": case,
@@ -289,7 +297,7 @@ def sweep(
             "verified": box,
             "counterexamples": _merge_counterexamples(prior["counterexamples"], bad),
         }
-    if frontier_path:
+    if frontier_path and not empty:
         _write_frontier(frontier_path, frontier)
 
     elapsed = int((time.perf_counter() - t0) * 1000)

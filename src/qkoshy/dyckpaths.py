@@ -8,11 +8,9 @@ whole-path indices, so the elevating first U-step is addressable as 0.
 
 Coloring runs in one left-to-right pass.  A tower is colored when its
 immediately preceding element is a U-step (the elevating step included)
-or an uncolored tower.  The "frozen" variant, kept for the adjudication
-test, instead asks whether the preceding tower was uncolored after the
-U-step rule alone; on chains of three or more height-1 towers the two
-disagree, and only the sequential reading reproduces the labeled-path
-counts, so sequential is the default everywhere.
+or an uncolored tower, with that tower's color as this same pass gave
+it.  The rule has to be sequential: judging the preceding tower by the
+U-step rule alone miscounts the labeled paths already at n = 4, m = 1.
 """
 
 from __future__ import annotations
@@ -176,32 +174,18 @@ def _tower_spans(inner: str):
     return spans
 
 
-def decompose_towers(inner: str, coloring: str = "sequential"):
+def decompose_towers(inner: str):
     """Tower decomposition of an inner Dyck word, with the elevating
     U-step of the surrounding elevated path counted as a predecessor."""
-    if coloring not in ("sequential", "frozen"):
-        raise DomainError("coloring must be 'sequential' or 'frozen'")
     spans = _tower_spans(inner)
     towers = []
-    step1 = []
-    colored = []
     for k, (s, h) in enumerate(spans):
-        if s == 0:
-            by_step1 = True          # follows the elevating U-step
-        elif inner[s - 1] == "U":
-            by_step1 = True
-        else:
-            by_step1 = False
-        follows_prev = k > 0 and spans[k - 1][0] + 2 * spans[k - 1][1] == s
-        if by_step1:
-            c = True
-        elif follows_prev:
-            prev_uncolored = (not colored[k - 1]) if coloring == "sequential" else (not step1[k - 1])
-            c = prev_uncolored
+        if s == 0 or inner[s - 1] == "U":
+            c = True                 # follows a U-step, maybe the elevating one
+        elif k > 0 and spans[k - 1][0] + 2 * spans[k - 1][1] == s:
+            c = not towers[k - 1].colored
         else:
             c = False
-        step1.append(by_step1)
-        colored.append(c)
         towers.append(Tower(s, h, c, s if h >= 2 else None))
     return tuple(towers)
 
@@ -216,7 +200,7 @@ class PathStats:
     towers: tuple[Tower, ...] | None
 
 
-def analyze(path: str, elevated: bool = False, coloring: str = "sequential") -> PathStats:
+def analyze(path: str, elevated: bool = False) -> PathStats:
     """Statistics of a Dyck word; tower decomposition when elevated."""
     if elevated:
         if not is_elevated(path):
@@ -234,7 +218,7 @@ def analyze(path: str, elevated: bool = False, coloring: str = "sequential") -> 
                 uu += 1
     towers = None
     if elevated:
-        towers = decompose_towers(path[1:-1], coloring)
+        towers = decompose_towers(path[1:-1])
         if len(path) > 2 and not any(t.colored for t in towers):
             raise InvariantViolation("elevated path %r has no colored tower" % path)
     return PathStats(
@@ -248,12 +232,12 @@ def analyze(path: str, elevated: bool = False, coloring: str = "sequential") -> 
 
 
 @lru_cache(maxsize=16)
-def _elevated_stats(n: int, coloring: str = "sequential"):
+def _elevated_stats(n: int):
     """(up_peaks, u_steps, colored_towers, peaks) per elevated path over
     inner words with n U-steps.  Cached; bounded by the scale guard."""
     out = []
     for p in iter_elevated(n):
-        st = analyze(p, elevated=True, coloring=coloring)
+        st = analyze(p, elevated=True)
         out.append((st.up_peaks, st.u_steps, sum(t.colored for t in st.towers), st.peaks))
     return tuple(out)
 
@@ -266,7 +250,6 @@ def labeled_gen(
     selector: str,
     m: int,
     weight: str = "unit",
-    coloring: str = "sequential",
 ) -> Poly:
     """Sum over elevated paths of binom(#selector-elements, m) times the
     weight, which is 1 or q^peaks."""
@@ -279,7 +262,7 @@ def labeled_gen(
     _check_scale(n, False)
     idx = _SELECTOR_INDEX[selector]
     acc: dict[int, int] = {}
-    for row in _elevated_stats(n, coloring):
+    for row in _elevated_stats(n):
         c = comb(row[idx], m)
         if not c:
             continue
@@ -288,14 +271,14 @@ def labeled_gen(
     return Poly.from_counts(acc)
 
 
-def distribution(n: int, selector: str, coloring: str = "sequential") -> Poly:
+def distribution(n: int, selector: str) -> Poly:
     """Ordinary generating polynomial of the selector count over elevated
     paths: coefficient of q^k is the number of paths with k elements."""
     if selector not in _SELECTOR_INDEX:
         raise DomainError("unknown selector %r" % selector)
     _check_scale(n, False)
     idx = _SELECTOR_INDEX[selector]
-    return Poly.from_counts(Counter(row[idx] for row in _elevated_stats(n, coloring)))
+    return Poly.from_counts(Counter(row[idx] for row in _elevated_stats(n)))
 
 
 @lru_cache(maxsize=None)
@@ -349,17 +332,17 @@ class LabeledPath:
         object.__setattr__(self, "w_labels", tuple(sorted(self.w_labels)))
 
 
-def _tower_map(path: str, coloring: str = "sequential"):
-    towers = decompose_towers(path[1:-1], coloring)
+def _tower_map(path: str):
+    towers = decompose_towers(path[1:-1])
     return towers, {t.start: t for t in towers}
 
 
-def _require_labeled_colored_towers(lp: LabeledPath, coloring: str):
+def _require_labeled_colored_towers(lp: LabeledPath):
     if lp.kind != "towers":
         raise MalformedLabel("expected tower labels, got %r" % lp.kind)
     if not is_elevated(lp.path):
         raise MalformedLabel("label carrier is not an elevated path")
-    towers, tmap = _tower_map(lp.path, coloring)
+    towers, tmap = _tower_map(lp.path)
     for s in lp.s_labels:
         t = tmap.get(s)
         if t is None:
@@ -369,7 +352,7 @@ def _require_labeled_colored_towers(lp: LabeledPath, coloring: str):
     return towers, tmap
 
 
-def lemma1_forward(lp: LabeledPath, coloring: str = "sequential") -> LabeledPath:
+def lemma1_forward(lp: LabeledPath) -> LabeledPath:
     """Move m labels from colored towers to U-steps, shrinking the path
     by one U and one D per label.
 
@@ -381,7 +364,7 @@ def lemma1_forward(lp: LabeledPath, coloring: str = "sequential") -> LabeledPath
     path, then all edits are applied at once; the label targets are
     pairwise distinct and disjoint from every edited span.
     """
-    towers, tmap = _require_labeled_colored_towers(lp, coloring)
+    towers, tmap = _require_labeled_colored_towers(lp)
     index_of = {t.start: k for k, t in enumerate(towers)}
     inner = lp.path[1:-1]
     deleted: list[int] = []
@@ -416,7 +399,7 @@ def lemma1_forward(lp: LabeledPath, coloring: str = "sequential") -> LabeledPath
     return LabeledPath("U" + new_inner + "D", "usteps", labels)
 
 
-def lemma1_inverse(lp: LabeledPath, coloring: str = "sequential") -> LabeledPath:
+def lemma1_inverse(lp: LabeledPath) -> LabeledPath:
     """Rebuild the tower-labeled path from a U-step-labeled one.
 
     Labels are processed left to right and each one is classified on the
@@ -449,7 +432,7 @@ def lemma1_inverse(lp: LabeledPath, coloring: str = "sequential") -> LabeledPath
             out_towers.append(0)
             shift += 2
             continue
-        towers = decompose_towers(inner, coloring)
+        towers = decompose_towers(inner)
         u_inner = u - 1
         t = next((x for x in towers if x.start <= u_inner <= x.end), None)
         if t is None or t.start + t.height - 1 != u_inner:
@@ -466,10 +449,10 @@ def lemma1_inverse(lp: LabeledPath, coloring: str = "sequential") -> LabeledPath
     return LabeledPath(cur, "towers", tuple(out_towers))
 
 
-def lemma2_forward(lp: LabeledPath, coloring: str = "sequential") -> LabeledPath:
+def lemma2_forward(lp: LabeledPath) -> LabeledPath:
     """Shrink every s,w-labeled tower by its bottom U-step and one
     D-step, keeping both labels on the shrunken tower."""
-    towers, tmap = _require_labeled_colored_towers(lp, coloring)
+    towers, tmap = _require_labeled_colored_towers(lp)
     for s in lp.w_labels:
         if tmap[s].height < 2:
             raise MalformedLabel("w-label on height-1 tower at %d" % s)
@@ -487,10 +470,10 @@ def lemma2_forward(lp: LabeledPath, coloring: str = "sequential") -> LabeledPath
     return LabeledPath("U" + new_inner + "D", "towers", tuple(s_labels), w_labels)
 
 
-def lemma2_inverse(lp: LabeledPath, coloring: str = "sequential") -> LabeledPath:
+def lemma2_inverse(lp: LabeledPath) -> LabeledPath:
     """Wrap every s,w-labeled tower as U tower D, the new bottom carrying
     the w-label."""
-    towers, tmap = _require_labeled_colored_towers(lp, coloring)
+    towers, tmap = _require_labeled_colored_towers(lp)
     inserts = sorted(lp.w_labels, reverse=True)
     cur = lp.path
     for s in inserts:

@@ -7,7 +7,9 @@ whole cell.  Checkers return None on success or a small dict with
 rendered left/right values and a difference; verify() walks the sorted
 cells, stops at the first counterexample, and wraps the outcome in an
 IdentityReport.  All comparisons are exact; a domain error raised by a
-checker is reported as a failure, never swallowed.
+checker is reported as a failure, never swallowed.  Any other exception
+from a checker is a crash, not a refutation: it is re-raised as a
+QKoshyError naming the row and the cell.
 """
 
 from __future__ import annotations
@@ -15,14 +17,15 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, gcd
-from multiprocessing import Pool
 
 from . import dyckpaths as dp
 from . import partitions as pt
+from .conjecture import ordered_map
 from .errors import DivisionInexact, DomainError, QKoshyError, ScaleLimit, UnknownIdentity
 from .poly import Poly, RationalForm, exact_div, rational_equal, shape, unimodal_break_index
 from .qfuncs import (
@@ -606,15 +609,15 @@ def list_identities():
 
 
 def _run_one(identity_id, cell):
+    chk = CHECKS[identity_id]
     try:
-        return CHECKS[identity_id].checker(*cell)
+        return chk.checker(*cell)
     except QKoshyError as exc:
         return _fail("exception", "clean evaluation", repr(exc))
-
-
-def _worker(args):
-    identity_id, cell = args
-    return cell, _run_one(identity_id, cell)
+    except Exception as exc:
+        at = ", ".join("%s=%s" % kv for kv in zip(chk.params, cell))
+        raise QKoshyError("checker of %s crashed at %s: %r"
+                          % (identity_id, at, exc)) from exc
 
 
 def verify(identity_id: str, bounds: dict | None = None, jobs: int = 1,
@@ -631,6 +634,8 @@ def verify(identity_id: str, bounds: dict | None = None, jobs: int = 1,
     if identity_id not in CHECKS:
         raise UnknownIdentity("no identity %r; known: %s"
                               % (identity_id, ", ".join(CHECKS)))
+    if jobs < 1:
+        raise DomainError("jobs must be >= 1")
     chk = CHECKS[identity_id]
     eff = {k: (lo, hi) for k, (_, lo, hi, _) in chk.params.items()}
     for k, v in (bounds or {}).items():
@@ -646,21 +651,11 @@ def verify(identity_id: str, bounds: dict | None = None, jobs: int = 1,
     t0 = time.perf_counter()
     found = None
     checked = 0
-    if jobs > 1 and len(cells) > 1:
-        chunk = max(1, min(16, len(cells) // (jobs * 4) or 1))
-        with Pool(jobs) as pool:
-            for cell, res in pool.imap(
-                _worker, [(identity_id, c) for c in cells], chunksize=chunk
-            ):
-                checked += 1
-                if res is not None:
-                    found = (cell, res)
-                    pool.terminate()
-                    break
-    else:
-        for cell in cells:
+    chunk = max(1, min(16, len(cells) // (jobs * 4) or 1))
+    tasks = [(identity_id, c) for c in cells]
+    with closing(ordered_map(_run_one, tasks, jobs, chunk)) as results:
+        for cell, res in zip(cells, results):
             checked += 1
-            res = _run_one(identity_id, cell)
             if res is not None:
                 found = (cell, res)
                 break

@@ -165,6 +165,9 @@ def test_sweep_cli_and_exit_codes(capsys, monkeypatch, tmp_path):
     assert run(["sweep", "--m-max", "9", "--n-max", "9", "--format", "json"]) == 0
     d = json.loads(capsys.readouterr().out)
     assert d["case"] == "odd-n" and d["status"] == "pass" and d["verified_cells"] == 35
+    # a grid with no cell is skipped, which is not a failure
+    assert run(["sweep", "--case", "even-n", "--j-max", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "skipped"
 
     real = cj.unimodal_break_index
 

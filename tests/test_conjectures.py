@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -37,7 +38,7 @@ def test_conjecture_poly_guards():
 
 def odd_cells(m_max, n_max):
     grid = sum(max(0, m_max - n + 1) for n in range(1, n_max + 1, 2))
-    extra = sum((n - 1) // 2 for n in range(1, min(n_max, 60) + 1, 2))
+    extra = sum((n - 1) // 2 for n in range(1, min(m_max, n_max, 60) + 1, 2))
     return grid + extra
 
 
@@ -51,15 +52,31 @@ def test_small_sweeps_pass():
     assert rep.status == "pass"
     assert rep.counterexamples == []
     assert rep.verified_cells == odd_cells(9, 9) == 35
+    # consequence cells follow m_max: only column n = 1 has a grid cell
+    # here, and it has no consequence cells
+    assert cj.sweep("odd-n", 1, 60).verified_cells == odd_cells(1, 60) == 1
+    assert cj.sweep("odd-n", 7, 15).verified_cells == odd_cells(7, 15) == 16 + 6
     rep = cj.sweep("even-n", 10, 10, 4)
     assert rep.status == "pass"
     assert rep.verified_cells == even_cells(10, 10, 4)
 
 
-def test_even_sweep_can_be_empty():
-    rep = cj.sweep("even-n", 1, 1, 2)
-    assert rep.verified_cells == 0
-    assert rep.status == "pass"
+def test_even_sweep_can_be_empty(tmp_path):
+    fp = str(tmp_path / "frontier.json")
+    for grid in ((1, 1, 2), (10, 10, 1), (10, 1, 4), (1, 10, 10)):
+        rep = cj.sweep("even-n", *grid, frontier_path=fp)
+        assert rep.verified_cells == 0
+        assert rep.to_dict()["status"] == "skipped"
+        assert not os.path.exists(fp)
+
+
+def test_frontier_rechecks_consequence_cells_beyond_old_m_max(tmp_path):
+    fp = str(tmp_path / "frontier.json")
+    first = cj.sweep("odd-n", 1, 15, frontier_path=fp)
+    assert first.verified_cells == 1
+    # the first run checked no consequence cell, so none is skipped now
+    second = cj.sweep("odd-n", 15, 15, frontier_path=fp)
+    assert second.verified_cells == odd_cells(15, 15) - odd_cells(1, 15)
 
 
 def test_sweep_guards():
@@ -98,6 +115,7 @@ def test_frontier_extension(tmp_path):
     }
     again = cj.sweep("odd-n", 9, 9, frontier_path=fp)
     assert again.verified_cells == 0
+    assert again.status == "pass"  # covered by the frontier, not empty
     bigger = cj.sweep("odd-n", 13, 13, frontier_path=fp)
     assert bigger.verified_cells == odd_cells(13, 13) - odd_cells(9, 9)
     assert json.load(open(fp))["verified"]["m_max"] == 13
@@ -122,12 +140,48 @@ def test_frontier_malformed(tmp_path):
         cj.sweep("odd-n", 3, 3, frontier_path=fp)
 
 
-def test_jobs_determinism():
-    a = cj.sweep("even-n", 14, 14, 4, jobs=1).to_dict()
-    b = cj.sweep("even-n", 14, 14, 4, jobs=3).to_dict()
-    a.pop("elapsed_ms")
-    b.pop("elapsed_ms")
+def _payloads(case, *grid):
+    out = []
+    for jobs in (1, 3):
+        d = cj.sweep(case, *grid, jobs=jobs).to_dict()
+        d.pop("elapsed_ms")
+        out.append(d)
+    return out
+
+
+def test_jobs_determinism(monkeypatch):
+    a, b = _payloads("even-n", 14, 14, 4)
     assert a == b
+    # the odd-n columns carry their consequence cells through the pool
+    a, b = _payloads("odd-n", 14, 14)
+    assert a == b
+    assert a["verified_cells"] == odd_cells(14, 14)
+
+    # planted failures: one grid cell and two consequence cells, which
+    # the payload lists grid cells first, in column order
+    real_break, real_shape = cj.unimodal_break_index, cj.shape
+    planted = {cj.t_term_poly(1, 3, 1), cj.t_term_poly(2, 9, 1)}
+
+    def broken_break(p):
+        return 4 if p == cj.conjecture_poly("odd-n", 9, 5) else real_break(p)
+
+    def broken_shape(p):
+        sh = real_shape(p)
+        if p in planted:
+            return dataclasses.replace(sh, is_nonnegative=False, nonneg_prefix_degree=0)
+        return sh
+
+    monkeypatch.setattr(cj, "unimodal_break_index", broken_break)
+    monkeypatch.setattr(cj, "shape", broken_shape)
+    a, b = _payloads("odd-n", 14, 14)
+    assert a == b
+    assert a["status"] == "fail"
+    assert [c["params"] for c in a["counterexamples"]] == [
+        {"m": 9, "n": 5},
+        {"n": 3, "r": 1},
+        {"n": 9, "r": 2},
+    ]
+    assert a["counterexamples"][1]["break_index"] == 1
 
 
 def test_counterexample_reporting_path(monkeypatch):

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from qkoshy import registry
-from qkoshy.errors import DomainError, ScaleLimit, UnknownIdentity
+from qkoshy.cli import run
+from qkoshy.errors import DomainError, QKoshyError, ScaleLimit, UnknownIdentity
 
 ALL_IDS = [
     "koshy",
@@ -124,6 +125,11 @@ def test_bad_parameter_name():
         registry.verify("koshy", bounds={"j": (1, 2)})
 
 
+def test_jobs_must_be_positive():
+    with pytest.raises(DomainError):
+        registry.verify("koshy", bounds={"n": (1, 3)}, jobs=0)
+
+
 def test_scale_cap_and_force():
     bounds = {"m": (0, 5), "k": (0, 5), "d": (2, 45)}
     with pytest.raises(ScaleLimit):
@@ -160,6 +166,27 @@ def test_forced_failure_is_reported(monkeypatch):
     assert rep.cells_checked == 7
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_checker_crash_is_an_error_not_a_failure(monkeypatch, capsys, jobs):
+    orig = registry.CHECKS["koshy"]
+
+    def crash(n):
+        if n == 3:
+            raise ValueError("synthetic crash")
+        return None
+
+    monkeypatch.setitem(registry.CHECKS, "koshy", dataclasses.replace(orig, checker=crash))
+    with pytest.raises(QKoshyError, match="koshy.*n=3.*synthetic crash") as info:
+        registry.verify("koshy", bounds={"n": (1, 4)}, jobs=jobs)
+    if jobs == 1:
+        assert isinstance(info.value.__cause__, ValueError)
+    capsys.readouterr()
+    assert run(["verify", "--id", "koshy", "--n", "1..4", "--jobs", str(jobs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "koshy" in err and "n=3" in err
+
+
 def test_checker_exception_becomes_failure(monkeypatch):
     orig = registry.CHECKS["koshy"]
 
@@ -176,12 +203,32 @@ def test_checker_exception_becomes_failure(monkeypatch):
     assert "synthetic" in rep.counterexample["diff"]
 
 
-def test_jobs_determinism():
-    a = registry.verify("lemma1", bounds={"n": (1, 5), "m": (1, 5)}, jobs=1).to_dict()
-    b = registry.verify("lemma1", bounds={"n": (1, 5), "m": (1, 5)}, jobs=3).to_dict()
-    a.pop("elapsed_ms")
-    b.pop("elapsed_ms")
+def test_jobs_determinism(monkeypatch):
+    def payloads(ident, bounds):
+        out = []
+        for jobs in (1, 3):
+            d = registry.verify(ident, bounds=bounds, jobs=jobs).to_dict()
+            d.pop("elapsed_ms")
+            out.append(d)
+        return out
+
+    a, b = payloads("lemma1", {"n": (1, 5), "m": (1, 5)})
     assert a == b
+
+    # a planted failure: 60 cells go to the pool in chunks of 5, and the
+    # report names the first failing cell in sorted order either way
+    orig = registry.CHECKS["koshy"]
+
+    def bad(n):
+        if n in (7, 40):
+            return {"left": "1", "right": "0", "diff": "1"}
+        return None
+
+    monkeypatch.setitem(registry.CHECKS, "koshy", dataclasses.replace(orig, checker=bad))
+    a, b = payloads("koshy", {"n": (1, 60)})
+    assert a == b
+    assert a["counterexample"]["cell"] == {"n": 7}
+    assert a["cells_checked"] == 7
 
 
 def test_csv_rendering():

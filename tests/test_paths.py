@@ -166,19 +166,6 @@ def test_label_count_identity():
             assert labeled_gen(n, "U-steps", m)(1) == comb(n + 1, m) * catalan(n)
 
 
-def test_frozen_coloring_fails_adjudication():
-    # the step-once coloring variant breaks the count identity at n=4, m=1;
-    # keeping it available documents why the sequential rule is the right one
-    n, m = 4, 1
-    want = comb(n - m + 1, m) * catalan(n - m)
-    assert labeled_gen(n, "colored-towers", m, coloring="frozen")(1) != want
-    for nn in range(1, 4):
-        assert (
-            labeled_gen(nn, "colored-towers", 1, coloring="frozen")(1)
-            == comb(nn, 1) * catalan(nn - 1)
-        )
-
-
 def test_distribution_consistency():
     for n in range(0, 7):
         d = distribution(n, "up-peaks")
@@ -289,5 +276,3 @@ def test_tower_decomposition_direct():
         (4, 1, False),
     ]
     assert towers[0].end == 3
-    with pytest.raises(DomainError):
-        decompose_towers("UUDDUD", "rainbow")
