@@ -5,7 +5,6 @@ from .errors import (
     DomainError,
     InvariantViolation,
     MalformedLabel,
-    NonMonicModulus,
     NoRepeatedPart,
     QKoshyError,
     ScaleLimit,
@@ -17,7 +16,6 @@ from .poly import (
     RationalForm,
     Shape,
     exact_div,
-    poly_remainder,
     rational_equal,
     shape,
     unimodal_break_index,

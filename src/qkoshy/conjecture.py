@@ -194,30 +194,46 @@ def _box_cells(case, box) -> int:
 
 
 def _load_frontier(path, case):
+    """The frontier file at path, or None if there is none; DomainError
+    if it cannot be read or does not hold a frontier of this case."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         return None
+    except (OSError, ValueError) as exc:
+        raise DomainError("cannot read frontier file %s: %s" % (path, exc)) from None
     if not isinstance(data, dict) or data.get("case") != case:
         raise DomainError(
             "frontier file %s tracks case %r, not %r"
             % (path, data.get("case") if isinstance(data, dict) else None, case)
         )
     box = data.get("verified", {})
-    for key in ("m_max", "n_max", "j_max"):
-        if not isinstance(box.get(key), int):
-            raise DomainError("frontier file %s has a malformed verified box" % path)
+    # a box is what a sweep wrote: three ints >= 1 (bool is no count)
+    if not isinstance(box, dict) or not all(
+        type(box.get(key)) is int and box[key] >= 1 for key in ("m_max", "n_max", "j_max")
+    ):
+        raise DomainError("frontier file %s has a malformed verified box" % path)
     data.setdefault("counterexamples", [])
+    if not isinstance(data["counterexamples"], list) or not all(
+        isinstance(rec, dict) for rec in data["counterexamples"]
+    ):
+        raise DomainError("frontier file %s has a malformed counterexample list" % path)
     return data
 
 
 def _write_frontier(path, obj):
+    """Replace the file at path by obj in one step, synced to disk first."""
     tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DomainError("cannot write frontier file %s: %s" % (path, exc)) from None
 
 
 def _merge_counterexamples(old, new):

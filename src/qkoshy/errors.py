@@ -17,10 +17,6 @@ class UnsupportedDivisor(QKoshyError):
     """Divisor's leading coefficient is not a unit (+1 or -1)."""
 
 
-class NonMonicModulus(QKoshyError):
-    """Remainder requested modulo a polynomial that is not monic."""
-
-
 class DomainError(QKoshyError):
     """Arguments outside the mathematical domain of an operation."""
 

@@ -7,16 +7,19 @@ All arithmetic is exact: coefficients are plain Python ints and nothing
 here ever rounds, normalizes a gcd, or cancels a rational form.
 
 Multiplication dispatches between sparse schoolbook and Kronecker
-substitution (packing coefficients into one big integer so CPython's
-Karatsuba does the work).  Both paths produce bit-identical results; the
-test suite checks that on random inputs.
+substitution: one path for every sign, which packs each operand once
+into a big integer of balanced digits (offset by half the digit base
+when a coefficient is negative, as in Harvey's multipoint Kronecker
+substitution) so that one CPython big-int product does the work.  Both
+paths produce bit-identical results; the test suite checks that on
+random inputs and at the digit-width and sign-bit boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivisionInexact, DomainError, NonMonicModulus, UnsupportedDivisor
+from .errors import DivisionInexact, DomainError, UnsupportedDivisor
 
 # Below this many nonzero terms on one side, schoolbook beats packing.
 _SPARSE_CUTOFF = 16
@@ -142,11 +145,11 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero()
-        na = sum(1 for c in a if c)
-        nb = sum(1 for c in b if c)
+        na = len(a) - a.count(0)
+        nb = len(b) - b.count(0)
         if min(na, nb) <= _SPARSE_CUTOFF:
             return Poly._raw(_mul_sparse(a, b, na, nb))
-        return Poly._raw(_mul_kronecker_signed(a, b))
+        return Poly._raw(_mul_kronecker(a, b))
 
     __rmul__ = __mul__
 
@@ -237,47 +240,42 @@ def _mul_sparse(a, b, na, nb):
     return out
 
 
-def _pack(coeffs, width):
-    buf = b"".join(c.to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(buf, "little")
-
-
-def _unpack(value, width, count):
-    buf = value.to_bytes(width * count, "little")
-    return [
-        int.from_bytes(buf[i * width : (i + 1) * width], "little")
-        for i in range(count)
-    ]
-
-
 def _mul_kronecker(a, b):
-    """Product of two nonnegative coefficient tuples via big-int packing."""
-    bound = min(len(a), len(b)) * max(a) * max(b)
+    """Product of two nonzero coefficient tuples by one big-int multiply.
+
+    Each operand is packed once, one coefficient per digit of base
+    2^(8*width).  The width keeps a spare top bit above every product
+    coefficient, so signed operands are packed in balanced digits: each
+    digit is offset by half the base, the offsets come back out as one
+    repeated-digit integer, and the product is unpacked the same way.
+    Nonnegative operands need no offset.
+    """
+    amin, bmin = min(a), min(b)
+    bound = min(len(a), len(b)) * max(max(a), -amin) * max(max(b), -bmin)
     width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1) if min(amin, bmin) < 0 else 0
     count = len(a) + len(b) - 1
-    return _unpack(_pack(a, width) * _pack(b, width), width, count)
+    return _unpack(_pack(a, width, half) * _pack(b, width, half), width, count, half)
 
 
-def _split_signs(coeffs):
-    pos = tuple(c if c > 0 else 0 for c in coeffs)
-    neg = tuple(-c if c < 0 else 0 for c in coeffs)
-    return pos, neg
+def _offsets(half, width, count):
+    """The integer whose count digits of base 2^(8*width) all equal half."""
+    return int.from_bytes(half.to_bytes(width, "little") * count, "little")
 
 
-def _mul_kronecker_signed(a, b):
-    if min(a) >= 0 and min(b) >= 0:
-        return _mul_kronecker(a, b)
-    ap, an = _split_signs(a)
-    bp, bn = _split_signs(b)
-    n = len(a) + len(b) - 1
-    out = [0] * n
-    for xa, xb, sign in ((ap, bp, 1), (an, bn, 1), (ap, bn, -1), (an, bp, -1)):
-        if any(xa) and any(xb):
-            part = _mul_kronecker(xa, xb)
-            for i, c in enumerate(part):
-                if c:
-                    out[i] += sign * c
-    return out
+def _pack(coeffs, width, half):
+    buf = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    value = int.from_bytes(buf, "little")
+    return value - _offsets(half, width, len(coeffs)) if half else value
+
+
+def _unpack(value, width, count, half):
+    if half:
+        value += _offsets(half, width, count)
+    buf = value.to_bytes(width * count, "little")
+    digits = [int.from_bytes(buf[i * width : (i + 1) * width], "little")
+              for i in range(count)]
+    return [d - half for d in digits] if half else digits
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
@@ -318,26 +316,6 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     return Poly._raw(quot)
 
 
-def poly_remainder(a: Poly, m: Poly) -> Poly:
-    """Remainder of a modulo a monic m with degree >= 1."""
-    if m.is_zero() or m.coeffs[-1] != 1:
-        raise NonMonicModulus("modulus must be monic")
-    dm = m.degree
-    if dm < 1:
-        raise NonMonicModulus("modulus must have degree >= 1")
-    if a.degree < dm:
-        return a
-    rem = list(a.coeffs)
-    body = [(j, c) for j, c in enumerate(m.coeffs[:-1]) if c]
-    for i in range(a.degree - dm, -1, -1):
-        c = rem[i + dm]
-        if c:
-            rem[i + dm] = 0
-            for j, mc in body:
-                rem[i + j] -= c * mc
-    return Poly._raw(rem[:dm])
-
-
 @dataclass(frozen=True)
 class Shape:
     is_nonnegative: bool
@@ -364,19 +342,16 @@ def shape(a: Poly) -> Shape:
             nonneg = False
             prefix = i - 1
             break
+    w = c[_lowest(c):]
+    return Shape(nonneg, w == w[::-1], unimodal_break_index(a) is None, prefix)
+
+
+def _lowest(c):
+    """Index of the lowest nonzero coefficient of a nonzero tuple."""
     low = 0
     while c[low] == 0:
         low += 1
-    w = c[low:]
-    n = len(w)
-    reciprocal = all(w[i] == w[n - 1 - i] for i in range((n + 1) // 2))
-    i = 0
-    while i + 1 < n and w[i + 1] >= w[i]:
-        i += 1
-    while i + 1 < n and w[i + 1] <= w[i]:
-        i += 1
-    unimodal = i == n - 1
-    return Shape(nonneg, reciprocal, unimodal, prefix)
+    return low
 
 
 def unimodal_break_index(a: Poly):
@@ -387,10 +362,7 @@ def unimodal_break_index(a: Poly):
     c = a.coeffs
     if not c:
         return None
-    low = 0
-    while c[low] == 0:
-        low += 1
-    i = low
+    i = _lowest(c)
     top = len(c) - 1
     while i < top and c[i + 1] >= c[i]:
         i += 1

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
-from .poly import Poly, RationalForm, exact_div, poly_remainder
+from .errors import DivisionInexact, DomainError
+from .poly import Poly, RationalForm, exact_div
 
 
 def q_int(n: int) -> Poly:
@@ -164,13 +164,17 @@ def q_lucas_check(m: int, k: int, d: int) -> bool:
     rhs = q_binomial(b, s) * math.comb(a, r)
     diff = lhs - rhs
     # fold exponents modulo q^d - 1 first (a multiple of the modulus),
-    # so the final reduction only sees degree < d
+    # so the division only sees degree < d
     if diff.degree >= d:
         folded = [0] * d
         for i, c in enumerate(diff.coeffs):
             folded[i % d] += c
         diff = Poly(*folded)
-    return poly_remainder(diff, cyclotomic(d)).is_zero()
+    try:
+        exact_div(diff, cyclotomic(d))
+    except DivisionInexact:
+        return False
+    return True
 
 
 # -- alternating T-term family ---------------------------------------

@@ -184,21 +184,28 @@ def _chk_lassalle(n):
     return _eq(lhs, rhs)
 
 
-def _chk_lassalle_transform(n):
-    lhs = dp.peak_dist(n)
-    rhs = _omq_pow(n - 1).shift(1)
+def _ie_term(n, m, r, f):
+    """The m-th inclusion-exclusion term of the tower and Lassalle rows:
+    sum over k = m..n of C(n-k+1+r, m) C(k-1, m-1) (1-q)^(k-m) f(n-k) q^m."""
+    total = Poly.zero()
+    for k in range(m, n + 1):
+        c = comb(n - k + 1 + r, m) * comb(k - 1, m - 1)
+        if c:
+            total = total + _omq_pow(k - m) * f(n - k) * c
+    return total.shift(m)
+
+
+def _ie_alternating(n, r, f):
+    """sum over m = 1..n of (-1)^(m+1) _ie_term(n, m, r, f)."""
+    total = Poly.zero()
     for m in range(1, n + 1):
-        sgn = 1 if m % 2 == 1 else -1
-        for k in range(m, n):    # the k = n term counts empty paths: zero
-            c = comb(k - 1, m - 1) * comb(n - k + 1, m)
-            if not c:
-                continue
-            term = (_omq_pow(k - m) * dp.peak_dist(n - k) * c).shift(m)
-            rhs = rhs + (term if sgn == 1 else -term)
-    den = _omq_pow(n)
-    if rational_equal(RationalForm(lhs, den), RationalForm(rhs, den)):
-        return None
-    return _fail(lhs, rhs, lhs - rhs)
+        t = _ie_term(n, m, r, f)
+        total = total + t if m % 2 == 1 else total - t
+    return total
+
+
+def _chk_lassalle_transform(n):
+    return _eq(dp.peak_dist(n), _ie_alternating(n, 0, dp.peak_dist))
 
 
 def _chk_tower_ie(n):
@@ -212,13 +219,7 @@ def _chk_tower_ie(n):
 
 def _chk_tower_closed(n, m):
     lhs = dp.labeled_gen(n, "colored-towers", m, "peak-weight-q")
-    rhs = Poly.zero()
-    for k in range(m, n + 1):
-        c = comb(n - k + 1, m) * comb(k - 1, m - 1)
-        if not c:
-            continue
-        rhs = rhs + (_omq_pow(k - m) * dp.peak_dist(n - k) * c).shift(m)
-    return _eq(lhs, rhs)
+    return _eq(lhs, _ie_term(n, m, 0, dp.peak_dist))
 
 
 def _lemma1_target(n, m):
@@ -297,17 +298,8 @@ def _brute_tuple_peaks(t, r):
 
 
 def _chk_ballot_lassalle(n, r):
-    lhs = _brute_tuple_peaks(n, r)
-    rhs = Poly.zero()
-    for m in range(1, n + 1):
-        sgn = 1 if m % 2 == 1 else -1
-        for k in range(m, n + 1):
-            c = comb(n - k + 1 + r, m) * comb(k - 1, m - 1)
-            if not c:
-                continue
-            term = (_omq_pow(k - m) * _brute_tuple_peaks(n - k, r) * c).shift(m)
-            rhs = rhs + (term if sgn == 1 else -term)
-    return _eq(lhs, rhs)
+    rhs = _ie_alternating(n, r, lambda t: _brute_tuple_peaks(t, r))
+    return _eq(_brute_tuple_peaks(n, r), rhs)
 
 
 def _chk_andrews(n):
@@ -345,10 +337,11 @@ def _chk_t_forms(n, r):
     return None
 
 
-def _first_negative(p: Poly):
-    for i, c in enumerate(p.coeffs):
-        if c < 0:
-            return i, c
+def _fail_negative(p: Poly, right):
+    """A failure naming the first negative coefficient of p, or None."""
+    i = shape(p).nonneg_prefix_degree + 1
+    if i <= p.degree:
+        return _fail(p, right, "coefficient %d at q^%d" % (p.coeffs[i], i))
     return None
 
 
@@ -356,23 +349,14 @@ def _chk_theorem1_even(n, r):
     t = t_term_poly(r, n, 1)
     if t.is_zero():
         return _fail(t, "nonzero", "term vanished on an admissible cell")
-    neg = _first_negative(t)
-    if neg:
-        return _fail(t, "nonnegative coefficients",
-                     "coefficient %d at q^%d" % (neg[1], neg[0]))
-    return None
+    return _fail_negative(t, "nonnegative coefficients")
 
 
 def _chk_theorem1_odd(n, r):
     t = t_term_poly(r, n, 1)
     if t.is_zero():
         return _fail(t, "nonzero", "term vanished on an admissible cell")
-    p = Poly(1, 1) * t
-    neg = _first_negative(p)
-    if neg:
-        return _fail(p, "nonnegative coefficients",
-                     "coefficient %d at q^%d" % (neg[1], neg[0]))
-    return None
+    return _fail_negative(Poly(1, 1) * t, "nonnegative coefficients")
 
 
 def _chk_theorem1_negq(r):
@@ -499,11 +483,7 @@ def _chk_tj_negq(r, j):
     p = t_term_poly(r, n, j).negate_q()
     if p.is_zero():
         return _fail(p, "positive polynomial", "vanished")
-    neg = _first_negative(p)
-    if neg:
-        return _fail(p, "positive polynomial",
-                     "coefficient %d at q^%d" % (neg[1], neg[0]))
-    return None
+    return _fail_negative(p, "positive polynomial")
 
 
 def _chk_qlucas(m, k, d):

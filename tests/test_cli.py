@@ -206,6 +206,28 @@ def test_sweep_frontier_flag(capsys, tmp_path):
     assert json.loads(fp.read_text())["verified"]["m_max"] == 7
 
 
+def test_bad_frontier_file_exits_2(capsys, tmp_path):
+    # every malformed file is refused in tests/test_conjectures.py; here, the exit code
+    fp = tmp_path / "frontier.json"
+    fp.write_text('{"case": "odd-n", "verified": ')
+    for path in (fp, tmp_path):
+        assert run(["sweep", "--m-max", "3", "--n-max", "3", "--frontier", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, path
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "x")
+    for argv in (["show", "qcatalan", "3"], ["verify", "--id", "koshy", "--n", "1..3"],
+                 ["sweep", "--m-max", "3", "--n-max", "3"]):
+        assert run(argv + ["--output", target]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: cannot write " + target), argv
+        assert "Traceback" not in err
+    assert run(["sweep", "--m-max", "3", "--n-max", "3", "--frontier", target]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write frontier file")
+
+
 def test_enum_outputs(capsys):
     assert run(["enum", "dyck", "3"]) == 0
     assert capsys.readouterr().out.splitlines() == [

@@ -132,12 +132,51 @@ def test_frontier_case_clash(tmp_path):
         cj.sweep("even-n", 3, 3, frontier_path=fp)
 
 
+MALFORMED_FRONTIERS = [
+    '{"case": "odd-n", "verified": {"m_max": "lots"}}',
+    '{"case": "odd-n", "verified": ',
+    '{"case": "odd-n", "verified": [1, 2]}',
+    '{"case": "odd-n", "verified": {"m_max": 3, "n_max": 3, "j_max": 1}, "counterexamples": 5}',
+    '{"case": "odd-n", "verified": {"m_max": 3, "n_max": 3, "j_max": 1}, "counterexamples": [5]}',
+    '{"case": "odd-n", "verified": {"m_max": true, "n_max": -5, "j_max": 1}}',
+    '{"case": "odd-n", "verified": {"m_max": 3, "n_max": 0, "j_max": 1}}',
+]
+
+
 def test_frontier_malformed(tmp_path):
     fp = str(tmp_path / "frontier.json")
-    with open(fp, "w") as fh:
-        fh.write('{"case": "odd-n", "verified": {"m_max": "lots"}}')
+    for text in MALFORMED_FRONTIERS:
+        with open(fp, "w") as fh:
+            fh.write(text)
+        with pytest.raises(DomainError):
+            cj.sweep("odd-n", 3, 3, frontier_path=fp)
+        assert open(fp).read() == text    # a rejected file is left as it was
+    with open(fp, "wb") as fh:
+        fh.write(b"\xff\xfe not utf-8")
     with pytest.raises(DomainError):
         cj.sweep("odd-n", 3, 3, frontier_path=fp)
+    with pytest.raises(DomainError):      # a directory is no frontier file
+        cj.sweep("odd-n", 3, 3, frontier_path=str(tmp_path))
+
+
+def test_frontier_is_synced_before_it_replaces_the_old_file(monkeypatch, tmp_path):
+    fp = str(tmp_path / "frontier.json")
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cj.os, "fsync", fsync)
+    monkeypatch.setattr(cj.os, "replace", replace)
+    cj.sweep("odd-n", 3, 3, frontier_path=fp)
+    assert calls == [("fsync", os.stat(fp).st_ino), ("replace", fp)]
+    assert json.load(open(fp))["verified"]["m_max"] == 3
 
 
 def _payloads(case, *grid):

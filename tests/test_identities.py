@@ -6,6 +6,7 @@ import pytest
 from qkoshy import registry
 from qkoshy.cli import run
 from qkoshy.errors import DomainError, QKoshyError, ScaleLimit, UnknownIdentity
+from qkoshy.poly import Poly
 
 ALL_IDS = [
     "koshy",
@@ -185,6 +186,27 @@ def test_checker_crash_is_an_error_not_a_failure(monkeypatch, capsys, jobs):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "koshy" in err and "n=3" in err
+
+
+@pytest.mark.parametrize("identity,bounds,cell,left,right,diff", [
+    ("theorem1-even", {"n": (2, 4), "r": (1, 1)}, {"n": 4, "r": 1},
+     "1 + 2*q - 3*q^2 + q^3", "nonnegative coefficients", "coefficient -3 at q^2"),
+    ("theorem1-odd", {"n": (1, 3), "r": (1, 1)}, {"n": 3, "r": 1},
+     "1 + 3*q - q^2 - 2*q^3 + q^4", "nonnegative coefficients", "coefficient -1 at q^2"),
+    ("tj-negq", {"r": (1, 1), "j": (1, 1)}, {"r": 1, "j": 1},
+     "1 - 2*q - 3*q^2 - q^3", "positive polynomial", "coefficient -2 at q^1"),
+])
+def test_negative_coefficient_is_reported(monkeypatch, identity, bounds, cell, left, right,
+                                          diff):
+    real = registry.t_term_poly
+
+    def planted(r, n, j):
+        return Poly(1, 2, -3, 1) if (r, n) == (1, cell.get("n", 1)) else real(r, n, j)
+
+    monkeypatch.setattr(registry, "t_term_poly", planted)
+    rep = registry.verify(identity, bounds=bounds)
+    assert rep.status == "fail"
+    assert rep.counterexample == {"cell": cell, "left": left, "right": right, "diff": diff}
 
 
 def test_checker_exception_becomes_failure(monkeypatch):

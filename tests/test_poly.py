@@ -1,13 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkoshy.errors import DivisionInexact, DomainError, NonMonicModulus, UnsupportedDivisor
+from qkoshy import poly
+from qkoshy.errors import DivisionInexact, DomainError, UnsupportedDivisor
 from qkoshy.poly import (
     Poly,
     RationalForm,
     exact_div,
-    poly_remainder,
     rational_equal,
     shape,
     unimodal_break_index,
@@ -93,12 +95,24 @@ def test_exact_div_errors():
         exact_div(Poly(1), Poly.zero())
 
 
-def test_poly_remainder():
-    # q^5 mod q^2 - ... use monic q^2 + 1: q^5 = (q^3 - q)(q^2+1) + q
-    assert poly_remainder(Poly.monomial(5), Poly(1, 0, 1)) == Poly(0, 1)
-    assert poly_remainder(Poly(1, 1), Poly(1, 0, 1)) == Poly(1, 1)
-    with pytest.raises(NonMonicModulus):
-        poly_remainder(Poly(1, 1, 1), Poly(1, 2))
+@pytest.mark.parametrize("k", [1, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 199, 200])
+def test_mul_kronecker_at_digit_boundaries(k):
+    # +-(2^k - 1) and +-2^k sit at the digit width and at its sign bit
+    rng = random.Random(k)
+    values = {
+        "nonnegative": [2 ** k - 1, 2 ** k],
+        "negative": [-(2 ** k - 1), -(2 ** k)],
+        "mixed": [2 ** k - 1, 2 ** k, -(2 ** k - 1), -(2 ** k)],
+    }
+    for sign_a, sign_b in [("nonnegative", "nonnegative"), ("negative", "negative"),
+                           ("negative", "nonnegative"), ("mixed", "mixed"),
+                           ("mixed", "negative"), ("nonnegative", "mixed")]:
+        for la, lb in [(1, 1), (1, 9), (3, 40), (17, 17), (40, 33)]:
+            a = [rng.choice(values[sign_a]) for _ in range(la)]
+            b = [rng.choice(values[sign_b]) for _ in range(lb)]
+            got = poly._mul_kronecker(tuple(a), tuple(b))
+            assert len(got) == la + lb - 1
+            assert poly._trim(got) == tuple(ref_convolve(a, b)), (sign_a, sign_b, la, lb)
 
 
 def test_shift_and_substitutions():

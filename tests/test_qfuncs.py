@@ -1,5 +1,9 @@
+import json
+
 import pytest
 
+from qkoshy import qfuncs, registry
+from qkoshy.cli import run
 from qkoshy.errors import DomainError
 from qkoshy.poly import Poly, RationalForm, exact_div, rational_equal, shape
 from qkoshy.qfuncs import (
@@ -220,3 +224,25 @@ def test_q_lucas_spots():
         for k in range(0, m + 1):
             for d in (2, 3, 5):
                 assert q_lucas_check(m, k, d), (m, k, d)
+
+
+def test_planted_binomial_refutes_qlucas_and_cyclo_div(monkeypatch, capsys):
+    real = q_binomial
+
+    def planted(m, k):
+        p = real(m, k)
+        return p + Poly.monomial(p.degree + 1) if (m, k) == (6, 3) else p
+
+    monkeypatch.setattr(qfuncs, "q_binomial", planted)
+    monkeypatch.setattr(registry, "q_binomial", planted)
+    assert q_lucas_check(6, 3, 2) is False
+    assert q_lucas_check(6, 3, 3) is False
+    assert q_lucas_check(6, 2, 2) is True
+    # [6 choose 3]_q is cell (m, k) = (6, 3) of qlucas and (n, r) = (4, 1) of cyclo-div
+    for argv, cell in [(["--id", "qlucas", "--m", "6", "--k", "3", "--d", "2..4"],
+                        {"m": 6, "k": 3, "d": 2}),
+                       (["--id", "cyclo-div", "--n", "4", "--r", "1..2"],
+                        {"n": 4, "r": 1})]:
+        assert run(["verify"] + argv + ["--format", "json", "--jobs", "1"]) == 1
+        d = json.loads(capsys.readouterr().out)
+        assert d["status"] == "fail" and d["counterexample"]["cell"] == cell
