@@ -9,6 +9,8 @@ written), 2 means the invocation itself was bad.
 """
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -19,11 +21,13 @@ from .conjecture import (
     DEFAULT_J_MAX,
     DEFAULT_M_MAX,
     DEFAULT_N_MAX,
+    SweepReport,
     conjecture_poly,
+    probe_writable,
     sweep,
 )
 from .dyckpaths import iter_dyck, iter_elevated
-from .errors import DomainError, QKoshyError, ScaleLimit, UnknownIdentity
+from .errors import QKoshyError
 from .partitions import enumerate_partitions, render_partition
 from .qfuncs import cyclotomic, narayana_poly, q_ballot, q_binomial, q_catalan, t_term_poly
 
@@ -58,34 +62,33 @@ def _positive_int(text):
     try:
         v = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("want a positive integer, got %r" % text)
+        v = 0
     if v < 1:
         raise argparse.ArgumentTypeError("want a positive integer, got %r" % text)
     return v
 
 
-def _default_jobs():
+def _jobs(flag):
+    """--jobs when given, else QKOSHY_JOBS when set, else 1."""
+    if flag is not None:
+        return flag
     raw = os.environ.get("QKOSHY_JOBS", "").strip()
-    if not raw:
-        return 1
     try:
-        v = int(raw)
-    except ValueError:
-        raise _UsageError("QKOSHY_JOBS must be a positive integer, got %r" % raw)
-    if v < 1:
-        raise _UsageError("QKOSHY_JOBS must be a positive integer, got %r" % raw)
-    return v
+        return _positive_int(raw) if raw else 1
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError("QKOSHY_JOBS: %s" % exc) from None
 
 
-SHOW_SUBJECTS = (
-    "qbinom",
-    "qcatalan",
-    "narayana",
-    "qballot",
-    "cyclotomic",
-    "tterm",
-    "conjecture-poly",
-)
+# subject: (constructor, usage); every argument is an integer but a leading CASE
+SHOW_SUBJECTS = {
+    "qbinom": (q_binomial, "M K"),
+    "qcatalan": (q_catalan, "N"),
+    "narayana": (narayana_poly, "N"),
+    "qballot": (q_ballot, "J N"),
+    "cyclotomic": (cyclotomic, "K"),
+    "tterm": (lambda r, n, j=1: t_term_poly(r, n, j), "R N [J]"),
+    "conjecture-poly": (conjecture_poly, "CASE M N [J]"),
+}
 ENUM_SUBJECTS = ("dyck", "elevated", "partitions")
 
 # every parameter some registry row declares, in order of first use
@@ -109,7 +112,6 @@ def _parser():
     def add_common(p, formats=("text", "json", "csv")):
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", metavar="PATH")
-        p.add_argument("--jobs", type=_positive_int, default=None)
 
     v = sub.add_parser(
         "verify",
@@ -152,37 +154,31 @@ def _parser():
     a = sub.add_parser("all", help="full registry plus both default sweeps")
     add_common(a, formats=("text", "json"))
 
+    # only the commands that check cells fan out
+    for p in (v, s, a):
+        p.add_argument("--jobs", type=_positive_int, default=None)
     return top
 
 
 def _emit(text, path):
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
-        except OSError as exc:
-            raise _UsageError("cannot write %s: %s" % (path, exc)) from None
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError("cannot write %s: %s" % (path, exc)) from None
 
 
-def _note(msg):
-    print(msg, file=sys.stderr)
-    sys.stderr.flush()
+def _box(g):
+    return "m<=%d n<=%d j<=%d" % (g["m_max"], g["n_max"], g["j_max"])
 
 
-def _report_text(d):
-    params = "  ".join(
-        "%s=%d..%d" % (k, v[0], v[1]) for k, v in sorted(d["params"].items())
-    )
-    lines = [
-        "%s: %s  [%s]  cells=%d  elapsed_ms=%d"
-        % (d["identity"], d["status"], params, d["cells_checked"], d["elapsed_ms"])
-    ]
+def _identity_text(d):
+    """Name, bounds, cell count and detail lines of an identity report."""
+    params = "  ".join("%s=%d..%d" % (k, v[0], v[1]) for k, v in sorted(d["params"].items()))
+    lines = []
     ce = d["counterexample"]
     if ce:
         cell = "  ".join("%s=%s" % kv for kv in sorted(ce["cell"].items()))
@@ -190,47 +186,106 @@ def _report_text(d):
         lines.append("    left:  %s" % ce["left"])
         lines.append("    right: %s" % ce["right"])
         lines.append("    diff:  %s" % ce["diff"])
-    return lines
+    return d["identity"], params, d["cells_checked"], lines
 
 
 def _sweep_text(d):
-    g = d["grid"]
-    lines = [
-        "sweep %s: %s  [m<=%d n<=%d j<=%d]  cells=%d  elapsed_ms=%d"
-        % (d["case"], d["status"], g["m_max"], g["n_max"], g["j_max"],
-           d["verified_cells"], d["elapsed_ms"])
-    ]
+    """Name, grid, cell count and detail lines of a sweep report."""
+    lines = []
     for rec in d["counterexamples"]:
         cell = "  ".join("%s=%s" % kv for kv in sorted(rec["params"].items()))
         lines.append("  counterexample at %s (first break at q^%d)"
                      % (cell, rec["break_index"]))
         lines.append("    poly: %s" % rec["poly"])
-    fr = d["frontier"]["verified"]
-    lines.append("  frontier: m<=%d n<=%d j<=%d"
-                 % (fr["m_max"], fr["n_max"], fr["j_max"]))
-    return lines
+    lines.append("  frontier: %s" % _box(d["frontier"]["verified"]))
+    return "sweep " + d["case"], _box(d["grid"]), d["verified_cells"], lines
 
 
-def _sweep_csv_rows(d):
+CSV_HEADER = ("identity", "params", "status", "counterexample_cell", "counterexample_left",
+              "counterexample_right", "counterexample_diff", "cells_checked", "elapsed_ms")
+SWEEP_CSV_HEADER = ("case", "status", "verified_cells", "m_max", "n_max", "j_max",
+                    "elapsed_ms", "counterexample_params", "counterexample_break_index")
+
+
+def _identity_csv(d):
+    ce = d["counterexample"] or {}
+    return [[d["identity"], json.dumps(d["params"], sort_keys=True), d["status"],
+             json.dumps(ce["cell"]) if ce else "", ce.get("left", ""),
+             ce.get("right", ""), ce.get("diff", ""), d["cells_checked"], d["elapsed_ms"]]]
+
+
+def _sweep_csv(d):
     g = d["grid"]
     prefix = [d["case"], d["status"], d["verified_cells"],
               g["m_max"], g["n_max"], g["j_max"], d["elapsed_ms"]]
-    if not d["counterexamples"]:
-        return [",".join(registry.csv_field(x) for x in prefix + ["", ""])]
-    rows = []
-    for rec in d["counterexamples"]:
-        params = json.dumps(rec["params"], sort_keys=True)
-        rows.append(",".join(
-            registry.csv_field(x) for x in prefix + [params, rec["break_index"]]
-        ))
-    return rows
+    return [prefix + [json.dumps(rec["params"], sort_keys=True), rec["break_index"]]
+            for rec in d["counterexamples"]] or [prefix + ["", ""]]
 
 
-SWEEP_CSV_HEADER = ("case,status,verified_cells,m_max,n_max,j_max,"
-                    "elapsed_ms,counterexample_params,counterexample_break_index")
+# per report type: its text parts, its CSV header and its CSV rows
+_LAYOUT = {
+    registry.IdentityReport: (_identity_text, CSV_HEADER, _identity_csv),
+    SweepReport: (_sweep_text, SWEEP_CSV_HEADER, _sweep_csv),
+}
+
+# how each command lays out its report dicts as one JSON payload
+_JSON_SHAPE = {
+    "verify": lambda ds: ds[0] if len(ds) == 1 else ds,
+    "sweep": lambda ds: ds[0],
+    "all": lambda ds: {"identities": [d for d in ds if "identity" in d],
+                       "sweeps": [d for d in ds if "case" in d]},
+}
 
 
-def _cmd_verify(args):
+def _noted(rep):
+    """Note a finished report on stderr and pass it on."""
+    d = rep.to_dict()
+    name, _, cells, _ = _LAYOUT[type(rep)][0](d)
+    print("# %s: %s (%d cells, %d ms)" % (name, d["status"], cells, d["elapsed_ms"]),
+          file=sys.stderr, flush=True)
+    return rep
+
+
+def report(args, reports):
+    """Render the reports of a verify, sweep or all run in args.format, write
+    them to stdout or args.output, and return the exit status: 1 when some
+    report failed, else 0."""
+    failed = any(rep.status == "fail" for rep in reports)
+    dicts = [rep.to_dict() for rep in reports]
+    if args.format == "json":
+        text = json.dumps(_JSON_SHAPE[args.command](dicts), indent=1) + "\n"
+    elif args.format == "csv":
+        _, header, rows = _LAYOUT[type(reports[0])]
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(header)
+        for d in dicts:
+            out.writerows(rows(d))
+        text = buf.getvalue()
+    else:
+        lines = []
+        for rep, d in zip(reports, dicts):
+            name, box, cells, details = _LAYOUT[type(rep)][0](d)
+            lines.append("%s: %s  [%s]  cells=%d  elapsed_ms=%d"
+                         % (name, d["status"], box, cells, d["elapsed_ms"]))
+            lines.extend(details)
+        if args.command == "all":
+            lines.append("overall: %s" % ("fail" if failed else "pass"))
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.output)
+    return 1 if failed else 0
+
+
+def _verify_reports(ids, jobs, bounds=None, force=False):
+    return [_noted(registry.verify(ident, bounds=bounds, jobs=jobs, force=force))
+            for ident in ids]
+
+
+def _sweep_reports(cases, jobs, **grid):
+    return [_noted(sweep(case, jobs=jobs, **grid)) for case in cases]
+
+
+def _cmd_verify(args, jobs):
     if not args.ids:
         raise _UsageError("verify needs at least one --id NAME "
                           "(see `qkoshy verify --help` for the list)")
@@ -239,86 +294,31 @@ def _cmd_verify(args):
         raw = getattr(args, "range_" + name)
         if raw is not None:
             bounds[name] = _parse_range(raw)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    reports = []
-    for ident in args.ids:
-        rep = registry.verify(ident, bounds=bounds or None, jobs=jobs,
-                              force=args.force)
-        _note("# %s: %s (%d cells, %d ms)"
-              % (rep.identity, rep.status, rep.cells_checked, rep.elapsed_ms))
-        reports.append(rep)
-    dicts = [r.to_dict() for r in reports]
-    if args.format == "json":
-        payload = dicts[0] if len(dicts) == 1 else dicts
-        _emit(json.dumps(payload, indent=1) + "\n", args.output)
-    elif args.format == "csv":
-        rows = [registry.CSV_HEADER] + [registry.report_csv_row(r) for r in reports]
-        _emit("\n".join(rows) + "\n", args.output)
-    else:
-        lines = []
-        for d in dicts:
-            lines.extend(_report_text(d))
-        _emit("\n".join(lines) + "\n", args.output)
-    return 1 if any(r.status == "fail" for r in reports) else 0
+    return _verify_reports(args.ids, jobs, bounds or None, args.force)
 
 
-def _cmd_sweep(args):
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    rep = sweep(args.case, m_max=args.m_max, n_max=args.n_max,
-                j_max=args.j_max, jobs=jobs, frontier_path=args.frontier)
-    _note("# sweep %s: %s (%d cells, %d ms)"
-          % (rep.case_id, rep.status, rep.verified_cells, rep.elapsed_ms))
-    d = rep.to_dict()
-    if args.format == "json":
-        _emit(json.dumps(d, indent=1) + "\n", args.output)
-    elif args.format == "csv":
-        _emit("\n".join([SWEEP_CSV_HEADER] + _sweep_csv_rows(d)) + "\n", args.output)
-    else:
-        _emit("\n".join(_sweep_text(d)) + "\n", args.output)
-    return 1 if rep.counterexamples else 0
+def _cmd_sweep(args, jobs):
+    return _sweep_reports([args.case], jobs, m_max=args.m_max, n_max=args.n_max,
+                          j_max=args.j_max, frontier_path=args.frontier)
+
+
+def _cmd_all(args, jobs):
+    return _verify_reports(registry.list_identities(), jobs) + _sweep_reports(CASES, jobs)
 
 
 def _show_value(subject, raw_args):
-    def ints(k_min, k_max, usage):
-        if not (k_min <= len(raw_args) <= k_max):
-            raise _UsageError("show %s wants %s" % (subject, usage))
-        try:
-            return [int(x) for x in raw_args]
-        except ValueError:
-            raise _UsageError("show %s wants integer arguments, got %r"
-                              % (subject, raw_args)) from None
-
-    if subject == "qbinom":
-        m, k = ints(2, 2, "M K")
-        return q_binomial(m, k)
-    if subject == "qcatalan":
-        (n,) = ints(1, 1, "N")
-        return q_catalan(n)
-    if subject == "narayana":
-        (n,) = ints(1, 1, "N")
-        return narayana_poly(n)
-    if subject == "qballot":
-        j, n = ints(2, 2, "J N")
-        return q_ballot(j, n)
-    if subject == "cyclotomic":
-        (k,) = ints(1, 1, "K")
-        return cyclotomic(k)
-    if subject == "tterm":
-        got = ints(2, 3, "R N [J]")
-        r, n = got[0], got[1]
-        j = got[2] if len(got) == 3 else 1
-        return t_term_poly(r, n, j)
-    # conjecture-poly CASE M N [J]
-    if not (3 <= len(raw_args) <= 4):
-        raise _UsageError("show conjecture-poly wants CASE M N [J]")
-    case = raw_args[0]
+    make, usage = SHOW_SUBJECTS[subject]
+    words = usage.split()
+    if not sum(not w.startswith("[") for w in words) <= len(raw_args) <= len(words):
+        raise _UsageError("show %s wants %s" % (subject, usage))
+    texts = raw_args[:1] if words[0] == "CASE" else []
     try:
-        rest = [int(x) for x in raw_args[1:]]
+        ints = [int(x) for x in raw_args[len(texts):]]
     except ValueError:
-        raise _UsageError("show conjecture-poly wants integer M N [J]") from None
-    m, n = rest[0], rest[1]
-    j = rest[2] if len(rest) == 3 else None
-    return conjecture_poly(case, m, n, j)
+        want = ("integer " + usage.partition(" ")[2] if texts
+                else "integer arguments, got %r" % (raw_args,))
+        raise _UsageError("show %s wants %s" % (subject, want)) from None
+    return make(*texts, *ints)
 
 
 def _cmd_show(args):
@@ -333,102 +333,55 @@ def _cmd_show(args):
 
 
 def _cmd_enum(args):
-    subject = args.subject
-    if subject in ("dyck", "elevated"):
-        if len(args.args) != 1:
-            raise _UsageError("enum %s wants N" % subject)
-        try:
-            n = int(args.args[0])
-        except ValueError:
-            raise _UsageError("enum %s wants integer N" % subject) from None
-        it = (iter_dyck if subject == "dyck" else iter_elevated)(n, force=args.force)
-        items = list(it)
-    else:
-        if len(args.args) != 2:
-            raise _UsageError("enum partitions wants MAX_PART LENGTH")
-        try:
-            max_part, length = int(args.args[0]), int(args.args[1])
-        except ValueError:
-            raise _UsageError("enum partitions wants integer MAX_PART LENGTH") from None
+    usage = "MAX_PART LENGTH" if args.subject == "partitions" else "N"
+    if len(args.args) != len(usage.split()):
+        raise _UsageError("enum %s wants %s" % (args.subject, usage))
+    try:
+        ints = [int(x) for x in args.args]
+    except ValueError:
+        raise _UsageError("enum %s wants integer %s" % (args.subject, usage)) from None
+    if args.subject == "partitions":
+        max_part, length = ints
         kw = {"max_length": length} if args.at_most else {"exact_length": length}
         items = [
             render_partition(p)
             for p in enumerate_partitions(max_part, strict=args.strict,
                                           force=args.force, **kw)
         ]
+    else:
+        it = iter_dyck if args.subject == "dyck" else iter_elevated
+        items = list(it(ints[0], force=args.force))
     if args.format == "json":
         _emit(json.dumps(items, indent=1) + "\n", args.output)
     else:
-        _emit("\n".join(items) + "\n" if items else "", args.output)
+        _emit("\n".join(items) + "\n", args.output)
     return 0
 
 
-def _cmd_all(args):
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    reports = []
-    for ident in registry.list_identities():
-        rep = registry.verify(ident, jobs=jobs)
-        _note("# %s: %s (%d cells, %d ms)"
-              % (rep.identity, rep.status, rep.cells_checked, rep.elapsed_ms))
-        reports.append(rep)
-    sweeps = []
-    for case in CASES:
-        srep = sweep(case, jobs=jobs)
-        _note("# sweep %s: %s (%d cells, %d ms)"
-              % (srep.case_id, srep.status, srep.verified_cells, srep.elapsed_ms))
-        sweeps.append(srep)
-    failed = (any(r.status == "fail" for r in reports)
-              or any(s.counterexamples for s in sweeps))
-    if args.format == "json":
-        payload = {
-            "identities": [r.to_dict() for r in reports],
-            "sweeps": [s.to_dict() for s in sweeps],
-        }
-        _emit(json.dumps(payload, indent=1) + "\n", args.output)
-    else:
-        lines = []
-        for r in reports:
-            lines.extend(_report_text(r.to_dict()))
-        for s in sweeps:
-            lines.extend(_sweep_text(s.to_dict()))
-        lines.append("overall: %s" % ("fail" if failed else "pass"))
-        _emit("\n".join(lines) + "\n", args.output)
-    return 1 if failed else 0
-
-
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-    "show": _cmd_show,
-    "enum": _cmd_enum,
-    "all": _cmd_all,
-}
+# commands that print one q-object or enumeration, and commands that check
+# cells and hand their reports to report()
+_HANDLERS = {"show": _cmd_show, "enum": _cmd_enum}
+_REPORTERS = {"verify": _cmd_verify, "sweep": _cmd_sweep, "all": _cmd_all}
 
 
 def run(argv=None) -> int:
     """Parse argv and execute; returns the process exit status."""
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        args = _parser().parse_args(argv)
+        if args.command is None:
+            raise _UsageError("no command given; try `qkoshy --help`")
+        if args.output is not None:
+            # refuse an unwritable target before any work, touching nothing
+            try:
+                probe_writable(args.output)
+            except OSError as exc:
+                raise _UsageError("cannot write %s: %s" % (args.output, exc)) from None
+        if args.command in _HANDLERS:
+            return _HANDLERS[args.command](args)
+        return report(args, _REPORTERS[args.command](args, _jobs(args.jobs)))
     except SystemExit as exc:  # --help exits through argparse
-        code = exc.code
-        return 0 if code is None else int(code)
-    if args.command is None:
-        print("error: no command given; try `qkoshy --help`", file=sys.stderr)
-        return 2
-    try:
-        return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (UnknownIdentity, DomainError, ScaleLimit) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except QKoshyError as exc:
-        # anything else from the math layer at this level is a bug surfacing
+        return 0 if exc.code is None else int(exc.code)
+    except (_UsageError, QKoshyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -19,9 +19,11 @@ Both sweeps and registry.verify fan out through ordered_map, the one
 process pool of the package.
 """
 
+import errno
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import starmap
@@ -222,18 +224,41 @@ def _load_frontier(path, case):
     return data
 
 
+def probe_writable(path):
+    """Raise the OSError that creating or rewriting a file at path would
+    raise, as far as can be told without creating, truncating or changing
+    anything."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
+@contextmanager
+def _frontier_tmp(path):
+    """The temporary file a frontier is written through; an OSError inside
+    becomes a DomainError naming the frontier file."""
+    try:
+        yield "%s.tmp.%d" % (path, os.getpid())
+    except OSError as exc:
+        raise DomainError("cannot write frontier file %s: %s" % (path, exc)) from None
+
+
 def _write_frontier(path, obj):
     """Replace the file at path by obj in one step, synced to disk first."""
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    try:
+    with _frontier_tmp(path) as tmp:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=1, sort_keys=True)
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except OSError as exc:
-        raise DomainError("cannot write frontier file %s: %s" % (path, exc)) from None
 
 
 def _merge_counterexamples(old, new):
@@ -278,6 +303,10 @@ def sweep(
 
     grid = {"m_max": m_max, "n_max": n_max, "j_max": j_max}
     empty = _box_cells(case, grid) == 0
+    if frontier_path and not empty:
+        # refuse an unwritable frontier now, not after the last cell
+        with _frontier_tmp(frontier_path) as tmp:
+            probe_writable(tmp)
     columns = [] if empty else [
         (case, n, m_max, j_max, skip)
         for n in range(1 if case == "odd-n" else 2, n_max + 1, 2)

@@ -133,14 +133,12 @@ def major_index(word: str) -> int:
 class Tower:
     """Maximal pyramid factor U^h D^h of the inner path.
 
-    start and bottom_index are inner-path step indices; bottom_index is
-    set only for height >= 2 (it equals start, the first U-step).
+    start is the inner-path index of its first U-step.
     """
 
     start: int
     height: int
     colored: bool
-    bottom_index: int | None
 
     @property
     def end(self) -> int:
@@ -186,7 +184,7 @@ def decompose_towers(inner: str):
             c = not towers[k - 1].colored
         else:
             c = False
-        towers.append(Tower(s, h, c, s if h >= 2 else None))
+        towers.append(Tower(s, h, c))
     return tuple(towers)
 
 

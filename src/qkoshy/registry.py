@@ -7,18 +7,18 @@ whole cell.  Checkers return None on success or a small dict with
 rendered left/right values and a difference; verify() walks the sorted
 cells, stops at the first counterexample, and wraps the outcome in an
 IdentityReport.  All comparisons are exact; a domain error raised by a
-checker is reported as a failure, never swallowed.  Any other exception
-from a checker is a crash, not a refutation: it is re-raised as a
-QKoshyError naming the row and the cell.
+checker is reported as a failure, never swallowed.  A ScaleLimit (a hard
+enumeration guard, which --force does not lift) and any exception that is
+not a QKoshyError end the run instead: neither refutes the identity, so
+each is re-raised naming the row and the cell.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, gcd
@@ -55,44 +55,7 @@ class IdentityReport:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": self.params,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "cells_checked": self.cells_checked,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-
-CSV_HEADER = (
-    "identity,params,status,counterexample_cell,counterexample_left,"
-    "counterexample_right,counterexample_diff,cells_checked,elapsed_ms"
-)
-
-
-def csv_field(value) -> str:
-    """One CSV field, quoted when it holds a comma, a quote or a newline."""
-    s = str(value)
-    if any(c in s for c in ',"\n'):
-        return '"' + s.replace('"', '""') + '"'
-    return s
-
-
-def report_csv_row(rep: IdentityReport) -> str:
-    ce = rep.counterexample or {}
-    cells = [
-        rep.identity,
-        json.dumps(rep.params, sort_keys=True),
-        rep.status,
-        json.dumps(ce.get("cell")) if ce else "",
-        ce.get("left", ""),
-        ce.get("right", ""),
-        ce.get("diff", ""),
-        rep.cells_checked,
-        rep.elapsed_ms,
-    ]
-    return ",".join(csv_field(c) for c in cells)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -588,16 +551,21 @@ def list_identities():
     return list(CHECKS)
 
 
+def _at(chk, cell):
+    return ", ".join("%s=%s" % kv for kv in zip(chk.params, cell))
+
+
 def _run_one(identity_id, cell):
     chk = CHECKS[identity_id]
     try:
         return chk.checker(*cell)
+    except ScaleLimit as exc:
+        raise ScaleLimit("%s at %s: %s" % (identity_id, _at(chk, cell), exc)) from exc
     except QKoshyError as exc:
         return _fail("exception", "clean evaluation", repr(exc))
     except Exception as exc:
-        at = ", ".join("%s=%s" % kv for kv in zip(chk.params, cell))
         raise QKoshyError("checker of %s crashed at %s: %r"
-                          % (identity_id, at, exc)) from exc
+                          % (identity_id, _at(chk, cell), exc)) from exc
 
 
 def verify(identity_id: str, bounds: dict | None = None, jobs: int = 1,
@@ -609,7 +577,7 @@ def verify(identity_id: str, bounds: dict | None = None, jobs: int = 1,
     below a parameter's floor are left out.  Cells are checked in sorted
     order and the first counterexample ends the run.  force bypasses the
     per-row caps, though enumeration-backed rows still hit the hard
-    path-count guards.
+    path-count guards, which raise ScaleLimit.
     """
     if identity_id not in CHECKS:
         raise UnknownIdentity("no identity %r; known: %s"

@@ -1,18 +1,24 @@
+import argparse
 import dataclasses
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from importlib.metadata import EntryPoint
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import qkoshy
 import qkoshy.conjecture as cj
-from qkoshy import registry
+from qkoshy import cli, registry
 from qkoshy.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_show_qbinom_frozen(capsys):
@@ -66,6 +72,9 @@ def test_usage_errors_exit_2(capsys):
         ["enum", "partitions", "3"],
         ["sweep", "--case", "sideways"],
         ["show", "conjecture-poly", "odd-n", "4", "2"],
+        # only the commands that check cells take --jobs
+        ["show", "qbinom", "4", "2", "--jobs", "2"],
+        ["enum", "dyck", "2", "--jobs", "2"],
     ]
     for argv in bad:
         assert run(argv) == 2, argv
@@ -108,7 +117,7 @@ def test_verify_text_and_csv(capsys):
     assert "cells=9" in out
     assert run(["verify", "--id", "koshy", "--n", "1..9", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == registry.CSV_HEADER
+    assert lines[0] == ",".join(cli.CSV_HEADER)
     assert lines[1].startswith("koshy,")
 
 
@@ -226,6 +235,157 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
         assert "Traceback" not in err
     assert run(["sweep", "--m-max", "3", "--n-max", "3", "--frontier", target]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write frontier file")
+
+
+def _counting(monkeypatch):
+    """Count the registry checker calls and sweep columns from here on."""
+    calls = []
+    for ident, chk in list(registry.CHECKS.items()):
+        def counted(*cell, _inner=chk.checker, _ident=ident):
+            calls.append((_ident, cell))
+            return _inner(*cell)
+        monkeypatch.setitem(registry.CHECKS, ident, dataclasses.replace(chk, checker=counted))
+    column = cj._sweep_column
+
+    def counted_column(*args):
+        calls.append(("column", args[:2]))
+        return column(*args)
+
+    monkeypatch.setattr(cj, "_sweep_column", counted_column)
+    return calls
+
+
+def test_unwritable_target_is_refused_before_any_cell(capsys, monkeypatch, tmp_path):
+    target = str(tmp_path / "missing" / "x")
+    calls = _counting(monkeypatch)
+    for argv in (["verify", "--id", "koshy", "--n", "1..3", "--output", target],
+                 ["sweep", "--m-max", "3", "--n-max", "3", "--output", target],
+                 ["sweep", "--m-max", "3", "--n-max", "3", "--frontier", target],
+                 ["all", "--output", target]):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write "), argv
+        assert err.count("\n") == 1, argv
+        assert calls == [], argv
+    assert not (tmp_path / "missing").exists()
+    # the counting wrappers do see the cells of a run that can write
+    assert run(["verify", "--id", "koshy", "--n", "1..3", "--output",
+                str(tmp_path / "ok.json")]) == 0
+    assert len(calls) == 3
+
+
+def test_probe_writable_touches_nothing(tmp_path):
+    existing = tmp_path / "keep.txt"
+    existing.write_text("old\n")
+    before = existing.stat()
+    cj.probe_writable(str(existing))
+    assert existing.read_text() == "old\n"
+    assert existing.stat().st_mtime_ns == before.st_mtime_ns
+    fresh = tmp_path / "fresh.txt"
+    cj.probe_writable(str(fresh))
+    assert not fresh.exists()
+    with pytest.raises(IsADirectoryError):
+        cj.probe_writable(str(tmp_path))
+    with pytest.raises(FileNotFoundError):
+        cj.probe_writable(str(tmp_path / "missing" / "x"))
+    with pytest.raises(NotADirectoryError):
+        cj.probe_writable(str(existing / "x"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("ident", ["upeak-gf", "tower-ie", "maj-catalan"])
+def test_enumeration_limit_is_an_error_not_a_failure(capsys, ident, jobs):
+    # --force lifts the row's cap, not the hard guard of the path
+    # enumeration inside the checker; hitting it refutes nothing
+    code = run(["verify", "--id", ident, "--n", "15..16", "--force",
+                "--jobs", str(jobs), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s at n=15: " % ident)
+    assert "enumeration guard" in err
+    assert err.count("\n") == 1
+
+
+def test_csv_rendering(capsys):
+    def csv_row(rep):
+        args = argparse.Namespace(format="csv", output=None, command="verify")
+        assert cli.report(args, [rep]) == (1 if rep.status == "fail" else 0)
+        return capsys.readouterr().out.splitlines()[1]
+
+    rep = registry.verify("koshy", bounds={"n": (1, 5)})
+    row = csv_row(rep)
+    assert row.startswith("koshy,")
+    assert len(cli.CSV_HEADER) - 1 == row.count(",") or '"' in row
+    # a failing report renders the counterexample fields
+    fake = dataclasses.replace(
+        rep,
+        status="fail",
+        counterexample={"cell": {"n": 2}, "left": "a,b", "right": "c", "diff": "d"},
+    )
+    frow = csv_row(fake)
+    assert '"a,b"' in frow
+    assert ',fail,' in frow
+    assert frow.startswith('koshy,"{""n"": [1, 5]}",fail,')
+
+
+def _planted_row(n):
+    # each field holds a comma, a double quote and a newline
+    if n == 3:
+        return {"left": 'a, "b"', "right": 'line one,\n"line two"', "diff": '1,\n"2"\n'}
+    return None
+
+
+def _plant_row(mp):
+    orig = registry.CHECKS["koshy"]
+    mp.setitem(registry.CHECKS, "koshy", dataclasses.replace(orig, checker=_planted_row))
+
+
+def _plant_sweep(mp):
+    real = cj.unimodal_break_index
+
+    def planted(p):
+        return 4 if p == cj.conjecture_poly("odd-n", 5, 3) else real(p)
+
+    mp.setattr(cj, "unimodal_break_index", planted)
+
+
+# golden case: (argv, planted defect or None, exit status); the expected
+# stdout of each format is tests/golden/<case>.<format>
+GOLDEN_CASES = {
+    "verify-one": (["verify", "--id", "koshy", "--n", "1..5"], None, 0),
+    "verify-two": (["verify", "--id", "koshy", "--id", "maj-catalan", "--n", "1..4"], None, 0),
+    "sweep-odd": (["sweep", "--case", "odd-n", "--m-max", "7", "--n-max", "5"], None, 0),
+    "sweep-even": (["sweep", "--case", "even-n", "--m-max", "6", "--n-max", "4",
+                    "--j-max", "4"], None, 0),
+    "verify-planted": (["verify", "--id", "koshy", "--n", "1..5"], _plant_row, 1),
+    "sweep-planted": (["sweep", "--m-max", "6", "--n-max", "5"], _plant_sweep, 1),
+}
+
+
+def golden_run(mp, case, fmt):
+    """Exit status and stdout of one golden case, with a frozen clock so
+    that every elapsed_ms reads 0."""
+    argv, plant, _ = GOLDEN_CASES[case]
+    mp.delenv("QKOSHY_JOBS", raising=False)
+    frozen = SimpleNamespace(perf_counter=lambda: 0.0)
+    mp.setattr(registry, "time", frozen)
+    mp.setattr(cj, "time", frozen)
+    if plant is not None:
+        plant(mp)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(argv + ["--format", fmt])
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_golden_output(capsys, monkeypatch, case, fmt):
+    code, out = golden_run(monkeypatch, case, fmt)
+    assert code == GOLDEN_CASES[case][2]
+    assert out.encode("utf-8") == (GOLDEN / ("%s.%s" % (case, fmt))).read_bytes()
 
 
 def test_enum_outputs(capsys):

@@ -251,20 +251,3 @@ def test_jobs_determinism(monkeypatch):
     assert a == b
     assert a["counterexample"]["cell"] == {"n": 7}
     assert a["cells_checked"] == 7
-
-
-def test_csv_rendering():
-    rep = registry.verify("koshy", bounds={"n": (1, 5)})
-    row = registry.report_csv_row(rep)
-    assert row.startswith("koshy,")
-    assert registry.CSV_HEADER.count(",") == row.count(",") or '"' in row
-    # a failing report renders the counterexample fields
-    fake = dataclasses.replace(
-        rep,
-        status="fail",
-        counterexample={"cell": {"n": 2}, "left": "a,b", "right": "c", "diff": "d"},
-    )
-    frow = registry.report_csv_row(fake)
-    assert '"a,b"' in frow
-    assert ',fail,' in frow
-    assert frow.startswith('koshy,"{""n"": [1, 5]}",fail,')
