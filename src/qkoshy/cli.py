@@ -27,7 +27,7 @@ from .conjecture import (
     sweep,
 )
 from .dyckpaths import iter_dyck, iter_elevated
-from .errors import QKoshyError
+from .errors import QKoshyError, ScaleLimit
 from .partitions import enumerate_partitions, render_partition
 from .qfuncs import cyclotomic, narayana_poly, q_ballot, q_binomial, q_catalan, t_term_poly
 
@@ -340,17 +340,21 @@ def _cmd_enum(args):
         ints = [int(x) for x in args.args]
     except ValueError:
         raise _UsageError("enum %s wants integer %s" % (args.subject, usage)) from None
-    if args.subject == "partitions":
-        max_part, length = ints
-        kw = {"max_length": length} if args.at_most else {"exact_length": length}
-        items = [
-            render_partition(p)
-            for p in enumerate_partitions(max_part, strict=args.strict,
-                                          force=args.force, **kw)
-        ]
-    else:
-        it = iter_dyck if args.subject == "dyck" else iter_elevated
-        items = list(it(ints[0], force=args.force))
+    try:
+        if args.subject == "partitions":
+            max_part, length = ints
+            kw = {"max_length": length} if args.at_most else {"exact_length": length}
+            items = [
+                render_partition(p)
+                for p in enumerate_partitions(max_part, strict=args.strict,
+                                              force=args.force, **kw)
+            ]
+        else:
+            it = iter_dyck if args.subject == "dyck" else iter_elevated
+            items = list(it(ints[0], force=args.force))
+    except ScaleLimit as exc:
+        # every guard an enumerator raises here is one that --force lifts
+        raise ScaleLimit("%s (pass --force to override)" % exc) from None
     if args.format == "json":
         _emit(json.dumps(items, indent=1) + "\n", args.output)
     else:

@@ -1,9 +1,9 @@
 """Dyck-path enumeration, tower coloring, and the two label-moving bijections.
 
 Paths are U/D strings.  An elevated path is U + inner + D where the inner
-part is itself a Dyck word; statistics (peaks, up-peaks, U-steps, major
-index) are always computed on the string as given, while towers live on
-the inner part.  Tower records use inner-path indices; U-step labels use
+part is itself a Dyck word; statistics (peaks, up-peaks, major index)
+are always computed on the string as given, while towers live on the
+inner part.  Tower records use inner-path indices; U-step labels use
 whole-path indices, so the elevating first U-step is addressable as 0.
 
 Coloring runs in one left-to-right pass.  A tower is colored when its
@@ -15,6 +15,8 @@ U-step rule alone miscounts the labeled paths already at n = 4, m = 1.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,14 +27,12 @@ from .poly import Poly
 from .qfuncs import narayana_poly
 
 SCALE_LIMIT = 14
+_PEAK_RUN = re.compile("(U+)(D+)")
 
 
 def _check_scale(n: int, force: bool) -> None:
     if n > SCALE_LIMIT and not force:
-        raise ScaleLimit(
-            "n=%d exceeds enumeration guard %d (pass force to override)"
-            % (n, SCALE_LIMIT)
-        )
+        raise ScaleLimit("n=%d exceeds enumeration guard %d" % (n, SCALE_LIMIT))
 
 
 def is_dyck(word: str) -> bool:
@@ -53,14 +53,9 @@ def is_elevated(word: str) -> bool:
     return len(word) >= 2 and word[0] == "U" and word[-1] == "D" and is_dyck(word[1:-1])
 
 
-def iter_dyck(n: int, force: bool = False):
-    """All Dyck words with n U-steps, in lexicographic order (U < D)."""
-    if n < 0:
-        raise DomainError("need n >= 0")
-    _check_scale(n, force)
-    if n == 0:
-        yield ""
-        return
+def _lattice_words(ups: int, downs: int, floor: int):
+    """Words with the given numbers of U- and D-steps whose height never
+    drops below floor, in lexicographic order (U < D)."""
     word = []
 
     def rec(ups, downs, h):
@@ -71,12 +66,20 @@ def iter_dyck(n: int, force: bool = False):
             word.append("U")
             yield from rec(ups - 1, downs, h + 1)
             word.pop()
-        if downs and h:
+        if downs and h > floor:
             word.append("D")
             yield from rec(ups, downs - 1, h - 1)
             word.pop()
 
-    yield from rec(n, n, 0)
+    return rec(ups, downs, 0)
+
+
+def iter_dyck(n: int, force: bool = False):
+    """All Dyck words with n U-steps, in lexicographic order (U < D)."""
+    if n < 0:
+        raise DomainError("need n >= 0")
+    _check_scale(n, force)
+    yield from _lattice_words(n, n, 0)
 
 
 def iter_elevated(n: int, force: bool = False):
@@ -102,26 +105,11 @@ def iter_ballot_tuples(n: int, r: int, force: bool = False):
 
 def iter_ballot_paths(n: int, j: int, force: bool = False):
     """Lattice paths with n U-steps and n+j-1 D-steps never going below
-    -(j-1), lexicographic."""
+    -(j-1), in lexicographic order (U < D); j = 1 gives iter_dyck(n)."""
     if n < 0 or j < 1:
         raise DomainError("need n >= 0 and j >= 1")
     _check_scale(n, force)
-    word = []
-
-    def rec(ups, downs, h):
-        if ups == 0 and downs == 0:
-            yield "".join(word)
-            return
-        if downs and h > -(j - 1):
-            word.append("D")
-            yield from rec(ups, downs - 1, h - 1)
-            word.pop()
-        if ups:
-            word.append("U")
-            yield from rec(ups - 1, downs, h + 1)
-            word.pop()
-
-    yield from rec(n, n + j - 1, 0)
+    yield from _lattice_words(n, n + j - 1, -(j - 1))
 
 
 def major_index(word: str) -> int:
@@ -145,43 +133,22 @@ class Tower:
         return self.start + 2 * self.height - 1
 
 
-def _tower_spans(inner: str):
-    """(start, height) of each maximal pyramid, left to right.
+def decompose_towers(inner: str):
+    """Tower decomposition of an inner Dyck word, with the elevating
+    U-step of the surrounding elevated path counted as a predecessor.
 
     At every boundary between a U-run of length a and a D-run of length
     b the unique maximal pyramid has height min(a, b) and occupies the
     last min(a, b) U's and the first min(a, b) D's.
     """
-    spans = []
-    i = 0
-    m = len(inner)
-    while i < m:
-        if inner[i] == "U":
-            a = 1
-            while i + a < m and inner[i + a] == "U":
-                a += 1
-            jdx = i + a
-            b = 0
-            while jdx + b < m and inner[jdx + b] == "D":
-                b += 1
-            h = min(a, b)
-            spans.append((jdx - h, h))
-            i = jdx + b
-        else:
-            i += 1
-    return spans
-
-
-def decompose_towers(inner: str):
-    """Tower decomposition of an inner Dyck word, with the elevating
-    U-step of the surrounding elevated path counted as a predecessor."""
-    spans = _tower_spans(inner)
     towers = []
-    for k, (s, h) in enumerate(spans):
+    for run in _PEAK_RUN.finditer(inner):
+        h = min(len(run[1]), len(run[2]))
+        s = run.end(1) - h
         if s == 0 or inner[s - 1] == "U":
             c = True                 # follows a U-step, maybe the elevating one
-        elif k > 0 and spans[k - 1][0] + 2 * spans[k - 1][1] == s:
-            c = not towers[k - 1].colored
+        elif towers and towers[-1].end == s - 1:
+            c = not towers[-1].colored
         else:
             c = False
         towers.append(Tower(s, h, c))
@@ -192,55 +159,40 @@ def decompose_towers(inner: str):
 class PathStats:
     peaks: int
     up_peaks: int
-    u_steps: int
-    uu_steps: int
-    maj: int
     towers: tuple[Tower, ...] | None
 
 
 def analyze(path: str, elevated: bool = False) -> PathStats:
-    """Statistics of a Dyck word; tower decomposition when elevated."""
+    """Statistics of a Dyck word; tower decomposition when elevated.
+
+    Neither UD nor UUD can overlap a copy of itself, so str.count finds
+    every peak and every up-peak.
+    """
     if elevated:
         if not is_elevated(path):
             raise DomainError("not an elevated Dyck path: %r" % path)
     elif not is_dyck(path):
         raise DomainError("not a Dyck path: %r" % path)
-    peaks = up = uu = 0
-    for i in range(len(path) - 1):
-        if path[i] == "U":
-            if path[i + 1] == "D":
-                peaks += 1
-                if i > 0 and path[i - 1] == "U":
-                    up += 1
-            else:
-                uu += 1
     towers = None
     if elevated:
         towers = decompose_towers(path[1:-1])
         if len(path) > 2 and not any(t.colored for t in towers):
             raise InvariantViolation("elevated path %r has no colored tower" % path)
-    return PathStats(
-        peaks=peaks,
-        up_peaks=up,
-        u_steps=path.count("U"),
-        uu_steps=uu,
-        maj=major_index(path),
-        towers=towers,
-    )
+    return PathStats(peaks=path.count("UD"), up_peaks=path.count("UUD"), towers=towers)
 
 
 @lru_cache(maxsize=16)
 def _elevated_stats(n: int):
-    """(up_peaks, u_steps, colored_towers, peaks) per elevated path over
-    inner words with n U-steps.  Cached; bounded by the scale guard."""
+    """(up_peaks, colored_towers, peaks) per elevated path over inner
+    words with n U-steps.  Cached; bounded by the scale guard."""
     out = []
     for p in iter_elevated(n):
         st = analyze(p, elevated=True)
-        out.append((st.up_peaks, st.u_steps, sum(t.colored for t in st.towers), st.peaks))
+        out.append((st.up_peaks, sum(t.colored for t in st.towers), st.peaks))
     return tuple(out)
 
 
-_SELECTOR_INDEX = {"up-peaks": 0, "U-steps": 1, "colored-towers": 2}
+_SELECTOR_INDEX = {"up-peaks": 0, "colored-towers": 1}
 
 
 def labeled_gen(
@@ -264,19 +216,16 @@ def labeled_gen(
         c = comb(row[idx], m)
         if not c:
             continue
-        k = row[3] if weight == "peak-weight-q" else 0
+        k = row[2] if weight == "peak-weight-q" else 0
         acc[k] = acc.get(k, 0) + c
     return Poly.from_counts(acc)
 
 
-def distribution(n: int, selector: str) -> Poly:
-    """Ordinary generating polynomial of the selector count over elevated
-    paths: coefficient of q^k is the number of paths with k elements."""
-    if selector not in _SELECTOR_INDEX:
-        raise DomainError("unknown selector %r" % selector)
+def distribution(n: int) -> Poly:
+    """Ordinary generating polynomial of the up-peak count over elevated
+    paths: coefficient of q^k is the number of paths with k up-peaks."""
     _check_scale(n, False)
-    idx = _SELECTOR_INDEX[selector]
-    return Poly.from_counts(Counter(row[idx] for row in _elevated_stats(n)))
+    return Poly.from_counts(Counter(row[0] for row in _elevated_stats(n)))
 
 
 @lru_cache(maxsize=None)
@@ -330,24 +279,41 @@ class LabeledPath:
         object.__setattr__(self, "w_labels", tuple(sorted(self.w_labels)))
 
 
-def _tower_map(path: str):
-    towers = decompose_towers(path[1:-1])
-    return towers, {t.start: t for t in towers}
-
-
-def _require_labeled_colored_towers(lp: LabeledPath):
+def _labeled_towers(lp: LabeledPath):
+    """The towers of lp's path by start index, after checking that every
+    s-label sits on a colored tower."""
     if lp.kind != "towers":
         raise MalformedLabel("expected tower labels, got %r" % lp.kind)
     if not is_elevated(lp.path):
         raise MalformedLabel("label carrier is not an elevated path")
-    towers, tmap = _tower_map(lp.path)
+    tmap = {t.start: t for t in decompose_towers(lp.path[1:-1])}
     for s in lp.s_labels:
         t = tmap.get(s)
         if t is None:
             raise MalformedLabel("no tower starts at inner index %d" % s)
         if not t.colored:
             raise MalformedLabel("tower at inner index %d is not colored" % s)
-    return towers, tmap
+    return tmap
+
+
+def _shrink(path: str, towers):
+    """Delete the first U-step and the last D-step of each given tower.
+
+    Returns the shorter elevated path and the map from an inner index of
+    the old path to its inner index in the new one; -1 (the elevating
+    U-step) maps to itself.
+    """
+    cuts = sorted(i for t in towers for i in (t.start, t.end))
+    inner = path[1:-1]
+    edges = [-1] + cuts + [len(inner)]
+    kept = "".join(inner[a + 1:b] for a, b in zip(edges, edges[1:]))
+    return "U" + kept + "D", lambda i: i - bisect_left(cuts, i)
+
+
+def _wrap(path: str, t: Tower) -> str:
+    """Wrap the inner tower t of an elevated path as U t D."""
+    a, b = t.start + 1, t.end + 2       # whole-path span of t
+    return path[:a] + "U" + path[a:b] + "D" + path[b:]
 
 
 def lemma1_forward(lp: LabeledPath) -> LabeledPath:
@@ -358,43 +324,19 @@ def lemma1_forward(lp: LabeledPath) -> LabeledPath:
     takes the label; height-1 towers after an uncolored tower transfer
     the label to that tower's peak U-step; taller towers lose their
     outer U and D and keep the label on the shrunken pyramid's peak.
-    Each labeled tower is classified by its surroundings in the input
-    path, then all edits are applied at once; the label targets are
-    pairwise distinct and disjoint from every edited span.
+    In both height-1 cases the target is the last U-step before the
+    tower.  Each labeled tower is classified by its surroundings in the
+    input path, then all edits are applied at once; the label targets
+    are pairwise distinct and disjoint from every edited span.
     """
-    towers, tmap = _require_labeled_colored_towers(lp)
-    index_of = {t.start: k for k, t in enumerate(towers)}
+    tmap = _labeled_towers(lp)
     inner = lp.path[1:-1]
-    deleted: list[int] = []
-    targets: list[int] = []      # inner indices of target U-steps; -1 = elevating U
-    for s in lp.s_labels:
-        t = tmap[s]
-        if t.height == 1:
-            prev_is_ustep = t.start == 0 or inner[t.start - 1] == "U"
-            if prev_is_ustep:
-                deleted += [t.start, t.start + 1]
-                targets.append(t.start - 1)     # -1 when it is the elevating U
-            else:
-                t1 = towers[index_of[t.start] - 1]
-                deleted += [t.start, t.start + 1]
-                targets.append(t1.start + t1.height - 1)
-        else:
-            deleted += [t.start, t.end]
-            targets.append(t.start + t.height - 1)
-    dset = sorted(deleted)
-    new_inner = "".join(c for i, c in enumerate(inner) if i not in set(dset))
-
-    def shifted(i: int) -> int:
-        if i < 0:
-            return -1
-        drop = 0
-        for d in dset:
-            if d < i:
-                drop += 1
-        return i - drop
-
-    labels = tuple(shifted(t) + 1 for t in targets)
-    return LabeledPath("U" + new_inner + "D", "usteps", labels)
+    chosen = [tmap[s] for s in lp.s_labels]
+    # inner indices of target U-steps; -1 = elevating U
+    targets = [t.start + t.height - 1 if t.height > 1 else inner.rfind("U", 0, t.start)
+               for t in chosen]
+    path, shifted = _shrink(lp.path, chosen)
+    return LabeledPath(path, "usteps", tuple(shifted(t) + 1 for t in targets))
 
 
 def lemma1_inverse(lp: LabeledPath) -> LabeledPath:
@@ -403,86 +345,66 @@ def lemma1_inverse(lp: LabeledPath) -> LabeledPath:
     Labels are processed left to right and each one is classified on the
     path as edited so far: at that moment the prefix already agrees with
     the source path, so tower colors seen locally match the source.  A
-    labeled U-step followed by U regains a height-1 tower right after
-    it; one followed by D is the peak of a tower, which is wrapped in
-    U...D if colored and followed by a new height-1 tower if not.
+    labeled U-step followed by U, or the elevating step of the bare path
+    UD, regains a height-1 tower right after it; one followed by D is the
+    peak of a tower, which is wrapped in U...D if colored and followed by
+    a new height-1 tower if not.
     """
     if lp.kind != "usteps":
         raise MalformedLabel("expected U-step labels, got %r" % lp.kind)
     if not is_elevated(lp.path):
         raise MalformedLabel("label carrier is not an elevated path")
     cur = lp.path
-    pending = list(lp.s_labels)
     out_towers: list[int] = []
     shift = 0
-    for orig in pending:
+    for orig in lp.s_labels:
         u = orig + shift
         if orig < 0 or u >= len(cur) or cur[u] != "U":
             raise MalformedLabel("label %d is not a U-step" % orig)
-        if cur[u + 1] == "U":
+        shift += 2
+        if cur[u + 1] == "U" or len(cur) == 2:
             cur = cur[: u + 1] + "UD" + cur[u + 1 :]
             out_towers.append(u)         # inner index of the inserted tower
-            shift += 2
             continue
-        inner = cur[1:-1]
-        if not inner:
-            cur = "UUDD"
-            out_towers.append(0)
-            shift += 2
-            continue
-        towers = decompose_towers(inner)
         u_inner = u - 1
-        t = next((x for x in towers if x.start <= u_inner <= x.end), None)
+        t = next((x for x in decompose_towers(cur[1:-1]) if x.start <= u_inner <= x.end), None)
         if t is None or t.start + t.height - 1 != u_inner:
             raise MalformedLabel("label %d is not a peak U-step" % orig)
         if t.colored:
-            s_el, e_el = t.start + 1, t.end + 1
-            cur = cur[:s_el] + "U" + cur[s_el : e_el + 1] + "D" + cur[e_el + 1 :]
+            cur = _wrap(cur, t)
             out_towers.append(t.start)
         else:
             pos = t.end + 2              # whole-path position right after t
             cur = cur[:pos] + "UD" + cur[pos:]
             out_towers.append(t.end + 1)
-        shift += 2
     return LabeledPath(cur, "towers", tuple(out_towers))
 
 
 def lemma2_forward(lp: LabeledPath) -> LabeledPath:
     """Shrink every s,w-labeled tower by its bottom U-step and one
     D-step, keeping both labels on the shrunken tower."""
-    towers, tmap = _require_labeled_colored_towers(lp)
+    tmap = _labeled_towers(lp)
     for s in lp.w_labels:
         if tmap[s].height < 2:
             raise MalformedLabel("w-label on height-1 tower at %d" % s)
-    inner = lp.path[1:-1]
-    dset = sorted(d for s in lp.w_labels for d in (tmap[s].start, tmap[s].end))
-    new_inner = "".join(c for i, c in enumerate(inner) if i not in set(dset))
-
-    def shifted(i: int) -> int:
-        return i - sum(1 for d in dset if d < i)
-
-    s_labels = []
-    for s in lp.s_labels:
-        s_labels.append(shifted(s + 1) if s in lp.w_labels else shifted(s))
+    path, shifted = _shrink(lp.path, [tmap[s] for s in lp.w_labels])
+    s_labels = tuple(shifted(s + 1) if s in lp.w_labels else shifted(s) for s in lp.s_labels)
     w_labels = tuple(shifted(s + 1) for s in lp.w_labels)
-    return LabeledPath("U" + new_inner + "D", "towers", tuple(s_labels), w_labels)
+    return LabeledPath(path, "towers", s_labels, w_labels)
 
 
 def lemma2_inverse(lp: LabeledPath) -> LabeledPath:
     """Wrap every s,w-labeled tower as U tower D, the new bottom carrying
     the w-label."""
-    towers, tmap = _require_labeled_colored_towers(lp)
-    inserts = sorted(lp.w_labels, reverse=True)
+    tmap = _labeled_towers(lp)
     cur = lp.path
-    for s in inserts:
-        t = tmap[s]
-        s_el, e_el = t.start + 1, t.end + 1
-        cur = cur[:s_el] + "U" + cur[s_el : e_el + 1] + "D" + cur[e_el + 1 :]
+    for s in sorted(lp.w_labels, reverse=True):
+        cur = _wrap(cur, tmap[s])
 
     def shifted(i: int) -> int:
         # the wrap around a tower starting at w inserts its U exactly at
         # the old start, so only wraps strictly to the left displace i
-        return i + sum(2 for s in lp.w_labels if s < i)
+        return i + 2 * bisect_left(lp.w_labels, i)
 
     s_labels = tuple(shifted(s) for s in lp.s_labels)
     w_labels = tuple(shifted(s) for s in lp.w_labels)

@@ -22,7 +22,13 @@ class DomainError(QKoshyError):
 
 
 class ScaleLimit(QKoshyError):
-    """Requested enumeration exceeds the guard bound; pass force=True to override."""
+    """A requested enumeration or parameter box exceeds a guard bound.
+
+    force=True lifts the guards of the functions that take it, and
+    `verify --force` lifts a registry row's caps.  It does not lift the
+    partition-box guard of the mu/nu sides, nor the enumeration guards
+    inside registry checkers, which call the enumerators without force.
+    """
 
 
 class MalformedLabel(QKoshyError):
@@ -34,7 +40,13 @@ class NoRepeatedPart(QKoshyError):
 
 
 class InvariantViolation(QKoshyError):
-    """A structural invariant failed; this is a refutation event, never swallowed."""
+    """A structural invariant failed; never swallowed.
+
+    Raised inside a registry checker (say, an elevated path with no colored
+    tower) it becomes that cell's counterexample, and `verify` exits 1.
+    Raised by a sweep (a cell polynomial that is not reciprocal) it ends
+    the run as an error, and the CLI exits 2.
+    """
 
 
 class UnknownIdentity(QKoshyError):

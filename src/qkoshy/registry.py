@@ -102,6 +102,14 @@ def _omq_pow(k: int) -> Poly:
     return _ONE_MINUS_Q ** k
 
 
+def _alternating(terms) -> Poly:
+    """t_1 - t_2 + t_3 - ... over the terms in the order given."""
+    total = Poly.zero()
+    for k, t in enumerate(terms):
+        total = total - t if k % 2 else total + t
+    return total
+
+
 # -- checkers ---------------------------------------------------------
 
 
@@ -122,7 +130,7 @@ def _chk_upeak_label(n, m):
 
 
 def _chk_upeak_gf(n):
-    lhs = dp.distribution(n, "up-peaks")
+    lhs = dp.distribution(n)
     qm1 = Poly(-1, 1)
     rhs = Poly.zero()
     for j in range(n + 1):
@@ -160,11 +168,7 @@ def _ie_term(n, m, r, f):
 
 def _ie_alternating(n, r, f):
     """sum over m = 1..n of (-1)^(m+1) _ie_term(n, m, r, f)."""
-    total = Poly.zero()
-    for m in range(1, n + 1):
-        t = _ie_term(n, m, r, f)
-        total = total + t if m % 2 == 1 else total - t
-    return total
+    return _alternating(_ie_term(n, m, r, f) for m in range(1, n + 1))
 
 
 def _chk_lassalle_transform(n):
@@ -172,12 +176,9 @@ def _chk_lassalle_transform(n):
 
 
 def _chk_tower_ie(n):
-    lhs = dp.peak_dist(n)
-    rhs = Poly.zero()
-    for m in range(1, n + 1):
-        a = dp.labeled_gen(n, "colored-towers", m, "peak-weight-q")
-        rhs = rhs + (a if m % 2 == 1 else -a)
-    return _eq(lhs, rhs)
+    rhs = _alternating(dp.labeled_gen(n, "colored-towers", m, "peak-weight-q")
+                       for m in range(1, n + 1))
+    return _eq(dp.peak_dist(n), rhs)
 
 
 def _chk_tower_closed(n, m):
@@ -266,10 +267,8 @@ def _chk_ballot_lassalle(n, r):
 
 
 def _chk_andrews(n):
-    total = Poly.zero()
-    for r in range(1, (n + 1) // 2 + 1):    # terms vanish below n = 2r-1
-        t = t_term_diff(r, n)
-        total = total + (t if r % 2 == 1 else -t)
+    # terms vanish below n = 2r-1
+    total = _alternating(t_term_diff(r, n) for r in range(1, (n + 1) // 2 + 1))
     return _eq(total, q_catalan(n))
 
 
@@ -308,18 +307,13 @@ def _fail_negative(p: Poly, right):
     return None
 
 
-def _chk_theorem1_even(n, r):
+def _chk_theorem1(n, r):
+    """T(r, n) for even n, and (1 + q) T(r, n) for odd n, has nonnegative
+    coefficients."""
     t = t_term_poly(r, n, 1)
     if t.is_zero():
         return _fail(t, "nonzero", "term vanished on an admissible cell")
-    return _fail_negative(t, "nonnegative coefficients")
-
-
-def _chk_theorem1_odd(n, r):
-    t = t_term_poly(r, n, 1)
-    if t.is_zero():
-        return _fail(t, "nonzero", "term vanished on an admissible cell")
-    return _fail_negative(Poly(1, 1) * t, "nonnegative coefficients")
+    return _fail_negative(Poly(1, 1) * t if n % 2 else t, "nonnegative coefficients")
 
 
 def _chk_theorem1_negq(r):
@@ -352,26 +346,26 @@ def _chk_cyclo_div(n, r):
 
 def _chk_invT(n):
     lhs = q_binomial(2 * n - 1, n - 2)
-    rhs = Poly.zero()
-    for r in range(1, (n + 1) // 2 + 1):
-        term = (q_binomial_sq(n - 1, r) * q_binomial(2 * n - 2 * r - 1, n - 2))
-        term = term.shift(r * r - r)
-        rhs = rhs + (term if r % 2 == 1 else -term)
+    rhs = _alternating(
+        (q_binomial_sq(n - 1, r) * q_binomial(2 * n - 2 * r - 1, n - 2)).shift(r * r - r)
+        for r in range(1, (n + 1) // 2 + 1))
     res = _eq(lhs, rhs)
     if res:
         return res
     if n <= 10:
         box = n - 1
-        total = Poly.zero()
-        for r in pt.level_range(n, 1):
+
+        def term(r):
             ms = Counter(2 * sum(mu) for mu in pt.enumerate_partitions(
                 box, exact_length=r, strict=True,
                 cap_schedule=[box - i for i in range(r)],
             ))
             ns = Counter(sum(nu) for nu in pt.enumerate_partitions(
                 box, exact_length=n + 1 - 2 * r))
-            term = Poly.from_counts(ms) * Poly.from_counts(ns)
-            total = total + (term if r % 2 == 0 else -term)
+            return Poly.from_counts(ms) * Poly.from_counts(ns)
+
+        # level_range starts at r = 0, so even r add and odd r subtract
+        total = _alternating(term(r) for r in pt.level_range(n, 1))
         if not total.is_zero():
             return _fail(total, 0, "alternating partition sum did not vanish")
     return None
@@ -426,10 +420,7 @@ def _chk_qballot_forms(n, j):
 
 
 def _chk_qballot_koshy(n, j):
-    total = Poly.zero()
-    for r in range(1, n + 1):
-        t = t_term_poly(r, n, j)
-        total = total + (t if r % 2 == 1 else -t)
+    total = _alternating(t_term_poly(r, n, j) for r in range(1, n + 1))
     return _eq(total, q_ballot(j, n))
 
 
@@ -506,10 +497,10 @@ CHECKS: dict[str, Check] = {chk.id: chk for chk in (
     Check("t-forms", _chk_t_forms,
           {"n": (1, 1, 30, 80), "r": (1, 1, 30, 80)},
           lambda n, r: r <= (n + 1) // 2),
-    Check("theorem1-even", _chk_theorem1_even,
+    Check("theorem1-even", _chk_theorem1,
           {"n": (2, 1, 60, 120), "r": (1, 1, 60, 120)},
           lambda n, r: n % 2 == 0 and r <= n // 2),
-    Check("theorem1-odd", _chk_theorem1_odd,
+    Check("theorem1-odd", _chk_theorem1,
           {"n": (1, 1, 60, 120), "r": (1, 1, 60, 120)},
           lambda n, r: n % 2 == 1 and r <= (n + 1) // 2),
     Check("theorem1-negq", _chk_theorem1_negq, {"r": (1, 1, 30, 60)}),

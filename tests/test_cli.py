@@ -305,6 +305,7 @@ def test_enumeration_limit_is_an_error_not_a_failure(capsys, ident, jobs):
     assert out == ""
     assert err.startswith("error: %s at n=15: " % ident)
     assert "enumeration guard" in err
+    assert "force" not in err       # names no remedy the user already tried
     assert err.count("\n") == 1
 
 
@@ -404,6 +405,9 @@ def test_enum_outputs(capsys):
     assert run(["enum", "partitions", "2", "2", "--at-most"]) == 0
     got = capsys.readouterr().out.splitlines()
     assert sorted(got) == sorted(["[]", "[2]", "[2,2]", "[2,1]", "[1]", "[1,1]"])
+    # here --force does lift the guard, so the error names it
+    assert run(["enum", "dyck", "15"]) == 2
+    assert capsys.readouterr().err.endswith("(pass --force to override)\n")
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

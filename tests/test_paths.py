@@ -1,3 +1,4 @@
+from itertools import accumulate, combinations
 from math import comb
 
 import pytest
@@ -92,8 +93,6 @@ def test_analyze_frozen_example():
     st = analyze("UUUDDUDUDD", elevated=True)
     assert st.peaks == 3
     assert st.up_peaks == 1
-    assert st.u_steps == 5
-    assert st.uu_steps == 2
     assert [(t.start, t.height, t.colored) for t in st.towers] == [
         (0, 2, True),
         (4, 1, False),
@@ -103,7 +102,7 @@ def test_analyze_frozen_example():
 
 def test_analyze_smallest_paths():
     st = analyze("UD", elevated=True)
-    assert st.towers == () and st.u_steps == 1 and st.uu_steps == 0
+    assert st.towers == ()
     st = analyze("UUDD", elevated=True)
     assert [(t.start, t.height, t.colored) for t in st.towers] == [(0, 1, True)]
     with pytest.raises(DomainError):
@@ -116,7 +115,10 @@ def test_usteps_split_into_uu_and_towers():
     for n in range(1, 8):
         for p in iter_elevated(n):
             st = analyze(p, elevated=True)
-            assert st.u_steps == st.uu_steps + len(st.towers), p
+            # every U-step is followed by a U-step or is the peak of one tower
+            u_steps = p.count("U")
+            uu_steps = sum(p[i:i + 2] == "UU" for i in range(len(p) - 1))
+            assert u_steps == uu_steps + len(st.towers), p
             if len(p) > 2:
                 assert len(st.towers) >= 1
                 assert any(t.colored for t in st.towers), p
@@ -143,10 +145,9 @@ def test_tower_coloring_rules():
 
 
 def test_labeled_gen_frozen_spots():
-    # n = 3: all six statistics-choose-1 sums match hand counts
+    # n = 3: the statistics-choose-1 sums match hand counts
     assert labeled_gen(3, "up-peaks", 1)(1) == 6
     assert labeled_gen(3, "colored-towers", 1)(1) == 6
-    assert labeled_gen(3, "U-steps", 1)(1) == 20
     assert labeled_gen(0, "up-peaks", 0) == Poly.one()
     assert labeled_gen(0, "up-peaks", 1) == Poly.zero()
     with pytest.raises(DomainError):
@@ -157,18 +158,17 @@ def test_labeled_gen_frozen_spots():
 
 def test_label_count_identity():
     # choosing m marked up-peaks or m marked colored towers both count
-    # binom(n-m+1, m) * catalan(n-m); marked U-steps count binom(n+1, m) * catalan(n)
+    # binom(n-m+1, m) * catalan(n-m)
     for n in range(0, 8):
         for m in range(0, n + 2):
             want = comb(n - m + 1, m) * catalan(n - m) if m <= n else 0
             assert labeled_gen(n, "up-peaks", m)(1) == want, (n, m, "up-peaks")
             assert labeled_gen(n, "colored-towers", m)(1) == want, (n, m, "towers")
-            assert labeled_gen(n, "U-steps", m)(1) == comb(n + 1, m) * catalan(n)
 
 
 def test_distribution_consistency():
     for n in range(0, 7):
-        d = distribution(n, "up-peaks")
+        d = distribution(n)
         assert d(1) == catalan(n)
         # peak-weighted m=1 sum equals sum over paths of up_peaks * q^peaks
         acc = {}
@@ -276,3 +276,38 @@ def test_tower_decomposition_direct():
         (4, 1, False),
     ]
     assert towers[0].end == 3
+
+
+def test_tower_decomposition_spec():
+    # each tower is a maximal pyramid U^h D^h, one per peak, left to right
+    for n in range(10):
+        for inner in iter_dyck(n):
+            towers = decompose_towers(inner)
+            assert len(towers) == inner.count("UD"), inner
+            starts = [t.start for t in towers]
+            assert starts == sorted(set(starts)), inner
+            for t in towers:
+                h = t.height
+                assert h >= 1 and inner[t.start:t.end + 1] == "U" * h + "D" * h, (inner, t)
+                grows = inner[t.start - 1:t.start] == "U" and inner[t.end + 1:t.end + 2] == "D"
+                assert not grows, (inner, t)
+
+
+def test_ballot_paths_content_and_order():
+    def u_before_d(word):
+        return word.replace("U", "0").replace("D", "1")
+
+    for n in range(7):
+        assert list(iter_ballot_paths(n, 1)) == list(iter_dyck(n))
+        for j in range(1, 5):
+            length = 2 * n + j - 1
+            want = []
+            for ups in combinations(range(length), n):
+                word = "".join("U" if i in ups else "D" for i in range(length))
+                heights = accumulate(1 if c == "U" else -1 for c in word)
+                if all(h >= -(j - 1) for h in heights):
+                    want.append(word)
+            got = list(iter_ballot_paths(n, j))
+            assert len(got) == len(set(got)), (n, j)
+            assert set(got) == set(want), (n, j)
+            assert got == sorted(got, key=u_before_d), (n, j)
