@@ -27,7 +27,6 @@ from .qfuncs import (
     cyclotomic,
     narayana_number,
     narayana_poly,
-    pascal_q_binomial,
     q_ballot,
     q_binomial,
     q_binomial_sq,

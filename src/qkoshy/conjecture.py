@@ -6,7 +6,9 @@ Two one-parameter families of polynomials are conjectured unimodal:
   even-n:  (1 + q^n) * [j]_q * qbinom(m, n-1)   for even n, even j >= 2
 
 Both families are reciprocal by construction, so reciprocality is asserted
-on every cell as a sanity check rather than swept for.  A sweep never stops
+on every cell as a sanity check rather than swept for.  A reciprocal
+polynomial is unimodal exactly when it does not decrease up to its centre,
+which is how each cell is judged (see _sweep_column).  A sweep never stops
 at the first hit: it walks the whole requested grid and reports every
 violating cell, because a refutation is the interesting outcome here.
 
@@ -28,15 +30,17 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import starmap
 from multiprocessing import Pool
+from operator import add, ge
 
 from .errors import DomainError, InvariantViolation
-from .poly import Poly, exact_div, shape, unimodal_break_index
-from .qfuncs import one_minus_q_to, q_binomial, q_int, t_term_poly
+from .poly import Poly, _div_one_minus, _mul_one_minus, shape, unimodal_break_index
+from .qfuncs import q_binomial, q_int, t_term_poly
 
 CASES = ("odd-n", "even-n")
 
-# n = 150 keeps a full default sweep near a minute on one core; the cell
-# polynomials top out around degree 5700 with ~150-bit coefficients
+# at n = 150 the cell polynomials top out around degree 5700 with ~150-bit
+# coefficients; each default sweep takes seconds on one core, since no
+# cell polynomial is built unless the cell fails
 DEFAULT_M_MAX = 150
 DEFAULT_N_MAX = 150
 DEFAULT_J_MAX = 10
@@ -126,6 +130,21 @@ def ordered_map(fn, tasks, jobs=1, chunksize=1):
         yield from pool.imap(partial(_apply, fn), tasks, chunksize)
 
 
+def _rises_to_centre(p, j):
+    """Whether P * [j]_q is unimodal, for the coefficient list p of a
+    palindrome P of degree D with p[0] != 0.
+
+    The product c is a palindrome of degree D + j - 1, so it is unimodal
+    exactly when it does not decrease up to its centre.  Since
+    (1 - q) * c = (1 - q^j) * P, c_i - c_{i-1} = P_i - P_{i-j}: the test is
+    P_i >= P_{i-j} for 1 <= i <= (D + j - 1) // 2, with P_k = 0 outside
+    0..D, which is one comparison of P with itself shifted by j.
+    """
+    h = (len(p) + j - 2) // 2
+    ext = [0] * j + p + [0] * max(0, h + 1 - len(p))
+    return all(map(ge, ext[j + 1 : j + h + 1], ext[1 : h + 1]))
+
+
 def _sweep_column(case, n, m_max, j_max, skip):
     """All cells of one n-column: the grid cells, then for odd-n the
     consequence cells T_r(n), r <= (n - 1) / 2, when the column has grid
@@ -134,42 +153,55 @@ def _sweep_column(case, n, m_max, j_max, skip):
     n_max) of that box.  Returns (cells_checked, grid counterexamples,
     consequence counterexamples).
 
-    The q-binomial is advanced in m by one multiply/exact-divide pair per
-    step instead of being rebuilt, which is what makes the default grid
-    cheap.
+    Each m step advances the column binomial B = [m choose n-1]_q on its
+    coefficient list by one multiply by 1 - q^m and one exact divide by
+    1 - q^(m-n+1), then forms P = (1 + q^n) * B.  The reciprocity check
+    on P stands for every cell of the row, since [j]_q is a nonzero
+    palindrome, and each cell's verdict is one self-comparison of P
+    (_rises_to_centre; odd-n is j = 1).  Only a failing cell builds its
+    polynomial, to scan it for the break index of its record.
     """
     jays = (None,) if case == "odd-n" else tuple(range(2, j_max + 1, 2))
     start = n
     if skip is not None and n <= skip["n_max"]:
         if all(j is None or j <= skip["j_max"] for j in jays):
             start = max(skip["m_max"] + 1, n)
-    lead = Poly.one() + Poly.monomial(n)
-    mults = {j: lead if j is None else lead * q_int(j) for j in jays}
     checked = 0
     bad = []
     binom = None
     for m in range(start, m_max + 1):
         if binom is None:
-            binom = q_binomial(m, n - 1)
+            binom = list(q_binomial(m, n - 1).coeffs)
         else:
-            binom = exact_div(binom * one_minus_q_to(m), one_minus_q_to(m - n + 1))
-        for j in jays:
-            if _covered(skip, m, n, j):
-                continue
-            p = binom * mults[j]
-            checked += 1
-            c = p.coeffs
-            if c != c[::-1]:
-                # construction guarantees this; a miss means broken arithmetic
+            binom = _div_one_minus(_mul_one_minus(binom, m), m - n + 1)
+            if binom is None:
                 raise InvariantViolation(
-                    "cell m=%d n=%d j=%r is not reciprocal" % (m, n, j)
+                    "column n=%d: 1 - q^%d does not divide at m=%d" % (n, m - n + 1, m)
                 )
-            hit = unimodal_break_index(p)
-            if hit is not None:
-                params = {"m": m, "n": n}
-                if j is not None:
-                    params["j"] = j
-                bad.append(_cell_record(params, p, hit))
+        todo = [j for j in jays if not _covered(skip, m, n, j)]
+        if not todo:
+            continue
+        p = binom + [0] * n
+        p[n:] = map(add, p[n:], binom)
+        if p != p[::-1]:
+            # construction guarantees this; a miss means broken arithmetic
+            raise InvariantViolation(
+                "cell m=%d n=%d j=%r is not reciprocal" % (m, n, todo[0])
+            )
+        for j in todo:
+            checked += 1
+            if _rises_to_centre(p, j or 1):
+                continue
+            cell = Poly._raw(p) * q_int(j or 1)
+            hit = unimodal_break_index(cell)
+            if hit is None:
+                raise InvariantViolation(
+                    "cell m=%d n=%d j=%r: criterion and scan disagree" % (m, n, j)
+                )
+            params = {"m": m, "n": n}
+            if j is not None:
+                params["j"] = j
+            bad.append(_cell_record(params, cell, hit))
     consequences = []
     if case == "odd-n" and n <= min(m_max, CONSEQUENCE_N_CAP) and not (
         skip is not None and n <= min(skip["m_max"], skip["n_max"])

@@ -13,11 +13,19 @@ when a coefficient is negative, as in Harvey's multipoint Kronecker
 substitution) so that one CPython big-int product does the work.  Both
 paths produce bit-identical results; the test suite checks that on
 random inputs and at the digit-width and sign-bit boundaries.
+
+The factor 1 - q^a, which every Gaussian binomial and T-term is built
+from, has its own two kernels on coefficient lists: multiplying by it is
+one shifted subtract, and dividing by it is one prefix sum over each
+residue class modulo a.  Poly.__mul__ and exact_div send that factor to
+them, so there is still one entry point for each operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 
 from .errors import DivisionInexact, DomainError, UnsupportedDivisor
 
@@ -147,6 +155,10 @@ class Poly:
             return Poly.zero()
         na = len(a) - a.count(0)
         nb = len(b) - b.count(0)
+        if nb == 2 and b[0] == 1 and b[-1] == -1:
+            return Poly._raw(_mul_one_minus(a, len(b) - 1))
+        if na == 2 and a[0] == 1 and a[-1] == -1:
+            return Poly._raw(_mul_one_minus(b, len(a) - 1))
         if min(na, nb) <= _SPARSE_CUTOFF:
             return Poly._raw(_mul_sparse(a, b, na, nb))
         return Poly._raw(_mul_kronecker(a, b))
@@ -223,6 +235,31 @@ class Poly:
         return "Poly(%s)" % (", ".join(str(c) for c in self.coeffs) or "")
 
 
+def _mul_one_minus(c, a):
+    """Coefficients of (1 - q^a) * c, for a >= 1: one shifted subtract."""
+    out = list(c) + [0] * a
+    out[a:] = map(sub, out[a:], c)
+    return out
+
+
+def _div_one_minus(c, a):
+    """Coefficients of c / (1 - q^a) for a >= 1, or None when 1 - q^a does
+    not divide c.
+
+    The quotient is c * (1 + q^a + q^2a + ...), a prefix sum over each
+    residue class modulo a.  Run over the whole of c, the sums hold the
+    quotient below index len(c) - a, and the division is exact when the
+    top a entries come out zero.
+    """
+    out = list(c)
+    for r in range(min(a, len(out))):
+        out[r::a] = accumulate(out[r::a])
+    top = max(len(out) - a, 0)
+    if any(out[top:]):
+        return None
+    return out[:top]
+
+
 def _mul_sparse(a, b, na, nb):
     if na > nb:
         a, b = b, a
@@ -283,6 +320,8 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 
     The divisor's leading coefficient must be +1 or -1 (UnsupportedDivisor
     otherwise); a nonzero remainder raises DivisionInexact carrying it.
+    A divisor 1 - q^a goes to the prefix-sum kernel, any other to long
+    division.
     """
     if not isinstance(a, Poly) or not isinstance(b, Poly):
         raise TypeError("exact_div expects Poly arguments")
@@ -298,6 +337,12 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     da, db = a.degree, b.degree
     if da < db:
         raise DivisionInexact("degree of dividend below divisor", remainder=a)
+    bc = b.coeffs
+    if bc[0] == 1 and lead == -1 and bc.count(0) == db - 1:
+        out = _div_one_minus(a.coeffs, db)
+        if out is not None:
+            return Poly._raw(out)
+        # inexact: the long division below finds the remainder to report
     rem = list(a.coeffs)
     quot = [0] * (da - db + 1)
     body = [(j, c) for j, c in enumerate(b.coeffs[:-1]) if c]

@@ -3,9 +3,10 @@
 Everything here returns a Poly (or a RationalForm where the object is
 genuinely a quotient).  Gaussian binomials are built by the product
 formula with interleaved exact divisions, which keeps every intermediate
-polynomial and costs O(k * deg); a small LRU holds recent results.  The
-Pascal-recurrence construction lives in pascal_q_binomial so the two can
-be cross-checked coefficient for coefficient.
+polynomial and costs O(k * deg); each step is one multiply and one divide
+by 1 - q^a, which poly runs on its own list kernels.  A small LRU holds
+recent results.  The test suite cross-checks them coefficient for
+coefficient against an independent Pascal-recurrence construction.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ def q_pochhammer(sign: str, a: int, r: int) -> Poly:
 @lru_cache(maxsize=512)
 def one_minus_q_to(k: int) -> Poly:
     """1 - q^k for k >= 1."""
+    if k < 1:
+        raise DomainError("one_minus_q_to needs k >= 1, got %d" % k)
     return Poly._raw((1,) + (0,) * (k - 1) + (-1,))
 
 
@@ -67,24 +70,6 @@ def q_binomial(m: int, k: int) -> Poly:
         # partial product stays the polynomial [m-k+t choose t]_q
         out = exact_div(out * one_minus_q_to(m - k + t), one_minus_q_to(t))
     return out
-
-
-def pascal_q_binomial(m: int, k: int) -> Poly:
-    """Same polynomial via the Pascal recurrence; used as a cross-check."""
-    if m < 0:
-        raise DomainError("pascal_q_binomial needs m >= 0")
-    if k < 0 or k > m:
-        return Poly.zero()
-    row = [Poly.one()]
-    for i in range(1, m + 1):
-        prev = row
-        row = [Poly.one()]
-        top = min(i, k)
-        for j in range(1, top + 1):
-            left = prev[j - 1]
-            right = prev[j] if j < len(prev) else Poly.zero()
-            row.append(left + right.shift(j) if right else left)
-    return row[k] if k < len(row) else Poly.zero()
 
 
 def catalan(n: int) -> int:

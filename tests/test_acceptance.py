@@ -176,15 +176,21 @@ def test_criterion_12_conjecture_sweep(all_runs, monkeypatch, tmp_path):
     assert odd["verified_cells"] == odd_cells(150, 150) == 6135
     assert even["verified_cells"] == even_cells(150, 150, 10) == 28125
 
-    # a found counterexample must be reported cleanly with exit 1
-    real = cj.unimodal_break_index
+    # a found counterexample must be reported cleanly with exit 1: the
+    # verdict fails the cell, and the scan of its polynomial gives the record
+    real, real_verdict = cj.unimodal_break_index, cj._rises_to_centre
+    target = cj.conjecture_poly("odd-n", 5, 3)
 
     def planted(p):
-        if p == cj.conjecture_poly("odd-n", 5, 3):
+        if p == target:
             return 4
         return real(p)
 
+    def planted_verdict(p, j):
+        return tuple(p) != target.coeffs and real_verdict(p, j)
+
     monkeypatch.setattr(cj, "unimodal_break_index", planted)
+    monkeypatch.setattr(cj, "_rises_to_centre", planted_verdict)
     out = tmp_path / "planted.json"
     code = run(["sweep", "--m-max", "6", "--n-max", "6", "--format", "json",
                 "--output", str(out)])

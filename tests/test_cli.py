@@ -178,14 +178,7 @@ def test_sweep_cli_and_exit_codes(capsys, monkeypatch, tmp_path):
     assert run(["sweep", "--case", "even-n", "--j-max", "1", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "skipped"
 
-    real = cj.unimodal_break_index
-
-    def planted(p):
-        if p == cj.conjecture_poly("odd-n", 5, 3):
-            return 4
-        return real(p)
-
-    monkeypatch.setattr(cj, "unimodal_break_index", planted)
+    _plant_sweep(monkeypatch)
     out_file = tmp_path / "sweep.json"
     code = run(
         [
@@ -344,12 +337,19 @@ def _plant_row(mp):
 
 
 def _plant_sweep(mp):
-    real = cj.unimodal_break_index
+    # the verdict fails odd-n cell (5, 3); the scan of its polynomial
+    # then gives the record's break index
+    real, real_verdict = cj.unimodal_break_index, cj._rises_to_centre
+    target = cj.conjecture_poly("odd-n", 5, 3)
 
     def planted(p):
-        return 4 if p == cj.conjecture_poly("odd-n", 5, 3) else real(p)
+        return 4 if p == target else real(p)
+
+    def planted_verdict(p, j):
+        return tuple(p) != target.coeffs and real_verdict(p, j)
 
     mp.setattr(cj, "unimodal_break_index", planted)
+    mp.setattr(cj, "_rises_to_centre", planted_verdict)
 
 
 # golden case: (argv, planted defect or None, exit status); the expected

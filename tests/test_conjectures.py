@@ -3,10 +3,12 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qkoshy.conjecture as cj
-from qkoshy.errors import DomainError
-from qkoshy.poly import Poly, shape
+from qkoshy.errors import DomainError, InvariantViolation
+from qkoshy.poly import Poly, shape, unimodal_break_index
 from qkoshy.qfuncs import q_binomial, q_int
 
 
@@ -59,6 +61,85 @@ def test_small_sweeps_pass():
     rep = cj.sweep("even-n", 10, 10, 4)
     assert rep.status == "pass"
     assert rep.verified_cells == even_cells(10, 10, 4)
+
+
+def scan_verdict(p, j):
+    """The verdict the sweep's criterion stands for: a scan of P * [j]_q."""
+    return unimodal_break_index(Poly(p) * q_int(j)) is None
+
+
+@st.composite
+def palindromes(draw):
+    """Coefficients of a reciprocal P >= 0 with nonzero ends, of degree
+    0 to 16; interior zeros make many of them fail."""
+    half = [draw(st.integers(1, 4))] + draw(st.lists(st.integers(0, 4), max_size=8))
+    return half + half[-1 - draw(st.integers(0, 1))::-1]
+
+
+@given(palindromes(), st.integers(1, 7))
+@settings(max_examples=600)
+def test_criterion_matches_product_scan(p, j):
+    # degree D < j is common here, so P_{i-j} must read 0 for i < j
+    # rather than wrap round to the top of the list
+    assert cj._rises_to_centre(p, j) == scan_verdict(p, j)
+
+
+def test_criterion_pinned_cells():
+    # m = n = 2: P = (1 + q^2)(1 + q) = 1 + q + q^2 + q^3, degree 3 < j
+    # for j >= 4, where a wrapped index i - j would read the top of P
+    p = (Poly.one() + Poly.monomial(2)) * q_binomial(2, 1)
+    assert p.coeffs == (1, 1, 1, 1)
+    for j in range(1, 11):
+        assert cj._rises_to_centre(list(p.coeffs), j) is True
+    assert cj._sweep_column("even-n", 2, 2, 10, None) == (5, [], [])
+    # 1 + 2q^2 + q^4 dips at q^1; times [2]_q the dip is filled, times
+    # [3]_q it comes back as 1 + q + 3q^2 + 2q^3 + ...
+    gap = [1, 0, 2, 0, 1]
+    assert [cj._rises_to_centre(gap, j) for j in (1, 2, 3)] == [False, True, False]
+    assert [scan_verdict(gap, j) for j in (1, 2, 3)] == [False, True, False]
+    # 2 + q + q^2 + 2q^3 dips in the middle, and still does times [2]_q
+    dip = [2, 1, 1, 2]
+    assert [cj._rises_to_centre(dip, j) for j in (1, 2, 3)] == [False, False, True]
+    assert [scan_verdict(dip, j) for j in (1, 2, 3)] == [False, False, True]
+
+
+def product_scan_column(case, n, m_max, j_max, skip):
+    """Cells checked and counterexample records of the grid cells of one
+    column, by building every cell polynomial and scanning it."""
+    jays = (None,) if case == "odd-n" else tuple(range(2, j_max + 1, 2))
+    checked, bad = 0, []
+    for m in range(n, m_max + 1):
+        for j in jays:
+            if cj._covered(skip, m, n, j):
+                continue
+            p = cj.conjecture_poly(case, m, n, j)
+            checked += 1
+            assert p.coeffs == p.coeffs[::-1]
+            hit = unimodal_break_index(p)
+            if hit is not None:
+                params = {"m": m, "n": n} if j is None else {"m": m, "n": n, "j": j}
+                bad.append(cj._cell_record(params, p, hit))
+    if case == "odd-n" and n <= min(m_max, cj.CONSEQUENCE_N_CAP) and not (
+        skip is not None and n <= min(skip["m_max"], skip["n_max"])
+    ):
+        checked += (n - 1) // 2
+    return checked, bad
+
+
+SKIP_BOXES = (
+    None,
+    {"m_max": 30, "n_max": 20, "j_max": 4},   # covers only j <= 4 of even-n
+    {"m_max": 30, "n_max": 20, "j_max": 10},  # covers whole even-n rows
+)
+
+
+@pytest.mark.parametrize("skip", SKIP_BOXES, ids=("no-skip", "skip-j4", "skip-all-j"))
+@pytest.mark.parametrize("case", cj.CASES)
+def test_column_verdicts_match_product_scan(case, skip):
+    for n in range(1 if case == "odd-n" else 2, 41, 2):
+        for m_max in sorted({n, n + 1, 60}):
+            checked, bad, _ = cj._sweep_column(case, n, m_max, 10, skip)
+            assert (checked, bad) == product_scan_column(case, n, m_max, 10, skip), (n, m_max)
 
 
 def test_even_sweep_can_be_empty(tmp_path):
@@ -188,6 +269,18 @@ def _payloads(case, *grid):
     return out
 
 
+def _failing_at(*cells):
+    """A sweep verdict that fails the given cell polynomials (odd-n, where
+    the cell is P itself) and judges every other cell as usual."""
+    real = cj._rises_to_centre
+    bad = {p.coeffs for p in cells}
+
+    def verdict(p, j):
+        return tuple(p) not in bad and real(p, j)
+
+    return verdict
+
+
 def test_jobs_determinism(monkeypatch):
     a, b = _payloads("even-n", 14, 14, 4)
     assert a == b
@@ -200,9 +293,11 @@ def test_jobs_determinism(monkeypatch):
     # the payload lists grid cells first, in column order
     real_break, real_shape = cj.unimodal_break_index, cj.shape
     planted = {cj.t_term_poly(1, 3, 1), cj.t_term_poly(2, 9, 1)}
+    target = cj.conjecture_poly("odd-n", 9, 5)
+    monkeypatch.setattr(cj, "_rises_to_centre", _failing_at(target))
 
     def broken_break(p):
-        return 4 if p == cj.conjecture_poly("odd-n", 9, 5) else real_break(p)
+        return 4 if p == target else real_break(p)
 
     def broken_shape(p):
         sh = real_shape(p)
@@ -223,6 +318,14 @@ def test_jobs_determinism(monkeypatch):
     assert a["counterexamples"][1]["break_index"] == 1
 
 
+def test_verdict_the_scan_does_not_confirm_is_an_error(monkeypatch):
+    # a failing verdict whose polynomial has no break means broken
+    # arithmetic, never a counterexample
+    monkeypatch.setattr(cj, "_rises_to_centre", _failing_at(cj.conjecture_poly("odd-n", 5, 3)))
+    with pytest.raises(InvariantViolation, match="m=5 n=3 j=None: criterion and scan disagree"):
+        cj.sweep("odd-n", 6, 6)
+
+
 def test_counterexample_reporting_path(monkeypatch):
     # no real counterexample is known, so exercise the reporting machinery
     # by planting a fake break at two specific cells
@@ -236,6 +339,8 @@ def test_counterexample_reporting_path(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(cj, "unimodal_break_index", planted)
+    monkeypatch.setattr(cj, "_rises_to_centre", _failing_at(
+        cj.conjecture_poly("odd-n", 5, 3), cj.conjecture_poly("odd-n", 7, 5)))
     rep = cj.sweep("odd-n", 8, 8)
     assert rep.status == "fail"
     # the sweep keeps going after the first hit and reports every cell
@@ -251,7 +356,7 @@ def test_counterexample_reporting_path(monkeypatch):
 
 
 def test_counterexamples_persist_and_merge(monkeypatch, tmp_path):
-    real = cj.unimodal_break_index
+    real, real_verdict = cj.unimodal_break_index, cj._rises_to_centre
 
     def planted(p):
         if p == cj.conjecture_poly("odd-n", 5, 3):
@@ -259,12 +364,14 @@ def test_counterexamples_persist_and_merge(monkeypatch, tmp_path):
         return real(p)
 
     monkeypatch.setattr(cj, "unimodal_break_index", planted)
+    monkeypatch.setattr(cj, "_rises_to_centre", _failing_at(cj.conjecture_poly("odd-n", 5, 3)))
     fp = str(tmp_path / "frontier.json")
     cj.sweep("odd-n", 6, 6, frontier_path=fp)
     data = json.load(open(fp))
     assert len(data["counterexamples"]) == 1
     # a later extension keeps the recorded counterexample without re-adding
     monkeypatch.setattr(cj, "unimodal_break_index", real)
+    monkeypatch.setattr(cj, "_rises_to_centre", real_verdict)
     rep = cj.sweep("odd-n", 8, 8, frontier_path=fp)
     data = json.load(open(fp))
     assert len(data["counterexamples"]) == 1

@@ -95,6 +95,84 @@ def test_exact_div_errors():
         exact_div(Poly(1), Poly.zero())
 
 
+def one_minus(a):
+    """The coefficients of 1 - q^a."""
+    return (1,) + (0,) * (a - 1) + (-1,)
+
+
+def ref_long_div(a, b):
+    """Schoolbook long division of coefficient lists by a divisor whose
+    leading coefficient is +-1: (quotient, remainder), both trimmed."""
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(b) - 1] * b[-1]
+        quot[i] = c
+        for k, d in enumerate(b):
+            rem[i + k] -= c * d
+    return poly._trim(quot), poly._trim(rem)
+
+
+@given(coeff_lists, st.integers(1, 50))
+def test_mul_one_minus_kernel_matches_sparse(c, a):
+    # signed coefficients, and len(c) < a whenever a > 40
+    b = one_minus(a)
+    got = poly._mul_one_minus(c, a)
+    if c:
+        assert got == poly._mul_sparse(tuple(c), b, len(c) - c.count(0), 2)
+    assert poly._trim(got) == tuple(ref_convolve(c, list(b)))
+    # Poly.__mul__ sends 1 - q^a on either side to the kernel
+    assert (Poly(c) * Poly(b)).coeffs == (Poly(b) * Poly(c)).coeffs == poly._trim(got)
+
+
+@given(coeff_lists, st.integers(1, 50), st.booleans())
+def test_div_one_minus_kernel_matches_long_division(c, a, exact):
+    # an exact dividend, or any list at all (mostly inexact), some of
+    # them shorter than the divisor
+    if exact:
+        c = poly._mul_one_minus(c, a)
+    quot, rem = ref_long_div(c, one_minus(a))
+    got = poly._div_one_minus(c, a)
+    if any(rem):
+        assert got is None
+    else:
+        assert poly._trim(got) == quot
+    pa, pb = Poly(c), Poly(one_minus(a))
+    if pa.is_zero():
+        return
+    # exact_div raises the same DivisionInexact, with the same remainder,
+    # as the long division by q^a - 1, which never takes the kernel
+    outcomes = []
+    for divisor, sign in ((pb, 1), (-pb, -1)):
+        try:
+            outcomes.append(("quotient", exact_div(pa, divisor) * sign))
+        except DivisionInexact as exc:
+            outcomes.append((str(exc), exc.remainder))
+    assert outcomes[0] == outcomes[1]
+    if not any(rem):
+        assert outcomes[0] == ("quotient", Poly(quot))
+    elif pa.degree >= a:
+        assert outcomes[0] == ("inexact division", Poly(rem))
+
+
+def test_div_one_minus_spots():
+    # 1 + q + q^2 = (1 - q^3) / (1 - q), and (1 - q^3) / (1 - q^3) = 1
+    assert poly._div_one_minus([1, 0, 0, -1], 1) == [1, 1, 1]
+    assert poly._div_one_minus([1, 0, 0, -1], 3) == [1]
+    assert poly._div_one_minus([], 4) == []
+    # a dividend shorter than the divisor, and one with a remainder
+    assert poly._div_one_minus([1, 2], 5) is None
+    assert poly._div_one_minus([1, 2, 0], 4) is None
+    assert poly._div_one_minus([1, 1, 1], 1) is None
+    with pytest.raises(DivisionInexact) as short:
+        exact_div(Poly(1, 2), Poly(one_minus(5)))
+    assert short.value.remainder == Poly(1, 2)
+    with pytest.raises(DivisionInexact) as inexact:
+        exact_div(Poly(1, 1, 1), Poly(one_minus(1)))
+    assert inexact.value.remainder == Poly(3)
+    assert poly._mul_one_minus([2, -3], 4) == [2, -3, 0, 0, -2, 3]
+
+
 @pytest.mark.parametrize("k", [1, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 199, 200])
 def test_mul_kronecker_at_digit_boundaries(k):
     # +-(2^k - 1) and +-2^k sit at the digit width and at its sign bit

@@ -12,7 +12,6 @@ from qkoshy.qfuncs import (
     cyclotomic,
     narayana_number,
     narayana_poly,
-    pascal_q_binomial,
     q_ballot,
     q_binomial,
     q_binomial_sq,
@@ -74,10 +73,33 @@ def test_q_binomial_edges():
     assert q_binomial(4, 2)(1) == 6
 
 
+def pascal_q_binomial(m, k):
+    """[m choose k]_q by the Pascal recurrence, the independent oracle
+    for q_binomial's multiply/divide-by-(1 - q^a) construction."""
+    row = [Poly.one()]
+    for i in range(1, m + 1):
+        prev = row
+        row = [Poly.one()]
+        for j in range(1, min(i, k) + 1):
+            right = prev[j] if j < len(prev) else Poly.zero()
+            row.append(prev[j - 1] + right.shift(j))
+    return row[k] if 0 <= k < len(row) else Poly.zero()
+
+
 def test_pascal_recurrence_agrees():
     for m in range(0, 12):
-        for k in range(0, m + 1):
+        for k in range(-1, m + 2):
             assert pascal_q_binomial(m, k) == q_binomial(m, k)
+    for m, k in ((30, 12), (41, 20), (60, 7)):
+        assert pascal_q_binomial(m, k) == q_binomial(m, k)
+
+
+def test_one_minus_q_to_domain():
+    assert qfuncs.one_minus_q_to(1) == Poly(1, -1)
+    assert qfuncs.one_minus_q_to(3) == Poly(1, 0, 0, -1)
+    for k in (0, -3):
+        with pytest.raises(DomainError):
+            qfuncs.one_minus_q_to(k)
 
 
 def test_q_int_and_factorial():
