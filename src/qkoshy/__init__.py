@@ -31,7 +31,6 @@ from .qfuncs import (
     q_binomial,
     q_binomial_sq,
     q_catalan,
-    q_factorial,
     q_int,
     q_lucas_check,
     q_pochhammer,
@@ -43,7 +42,6 @@ from .dyckpaths import (
     PathStats,
     Tower,
     analyze,
-    ballot_weighted_gen,
     decompose_towers,
     distribution,
     is_dyck,

@@ -159,7 +159,9 @@ def _sweep_column(case, n, m_max, j_max, skip):
     on P stands for every cell of the row, since [j]_q is a nonzero
     palindrome, and each cell's verdict is one self-comparison of P
     (_rises_to_centre; odd-n is j = 1).  Only a failing cell builds its
-    polynomial, to scan it for the break index of its record.
+    polynomial, with conjecture_poly and so apart from the stepped list;
+    a scan of it gives the break index of its record, and a scan that
+    finds no break means the stepping or the verdict is broken.
     """
     jays = (None,) if case == "odd-n" else tuple(range(2, j_max + 1, 2))
     start = n
@@ -192,7 +194,7 @@ def _sweep_column(case, n, m_max, j_max, skip):
             checked += 1
             if _rises_to_centre(p, j or 1):
                 continue
-            cell = Poly._raw(p) * q_int(j or 1)
+            cell = conjecture_poly(case, m, n, j)
             hit = unimodal_break_index(cell)
             if hit is None:
                 raise InvariantViolation(

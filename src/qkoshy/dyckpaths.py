@@ -30,7 +30,7 @@ SCALE_LIMIT = 14
 _PEAK_RUN = re.compile("(U+)(D+)")
 
 
-def _check_scale(n: int, force: bool) -> None:
+def _check_scale(n: int, force: bool = False) -> None:
     if n > SCALE_LIMIT and not force:
         raise ScaleLimit("n=%d exceeds enumeration guard %d" % (n, SCALE_LIMIT))
 
@@ -88,27 +88,27 @@ def iter_elevated(n: int, force: bool = False):
         yield "U" + inner + "D"
 
 
-def iter_ballot_tuples(n: int, r: int, force: bool = False):
+def iter_ballot_tuples(n: int, r: int):
     """(r+1)-tuples of Dyck words with n U-steps in total."""
     if n < 0 or r < 0:
         raise DomainError("need n, r >= 0")
-    _check_scale(n, force)
+    _check_scale(n)
     if r == 0:
-        for p in iter_dyck(n, force):
+        for p in iter_dyck(n):
             yield (p,)
         return
     for k in range(n + 1):
-        for head in iter_dyck(k, force):
-            for tail in iter_ballot_tuples(n - k, r - 1, force):
+        for head in iter_dyck(k):
+            for tail in iter_ballot_tuples(n - k, r - 1):
                 yield (head,) + tail
 
 
-def iter_ballot_paths(n: int, j: int, force: bool = False):
+def iter_ballot_paths(n: int, j: int):
     """Lattice paths with n U-steps and n+j-1 D-steps never going below
     -(j-1), in lexicographic order (U < D); j = 1 gives iter_dyck(n)."""
     if n < 0 or j < 1:
         raise DomainError("need n >= 0 and j >= 1")
-    _check_scale(n, force)
+    _check_scale(n)
     yield from _lattice_words(n, n + j - 1, -(j - 1))
 
 
@@ -159,25 +159,20 @@ def decompose_towers(inner: str):
 class PathStats:
     peaks: int
     up_peaks: int
-    towers: tuple[Tower, ...] | None
+    towers: tuple[Tower, ...]
 
 
-def analyze(path: str, elevated: bool = False) -> PathStats:
-    """Statistics of a Dyck word; tower decomposition when elevated.
+def analyze(path: str) -> PathStats:
+    """Statistics and tower decomposition of an elevated Dyck path.
 
     Neither UD nor UUD can overlap a copy of itself, so str.count finds
     every peak and every up-peak.
     """
-    if elevated:
-        if not is_elevated(path):
-            raise DomainError("not an elevated Dyck path: %r" % path)
-    elif not is_dyck(path):
-        raise DomainError("not a Dyck path: %r" % path)
-    towers = None
-    if elevated:
-        towers = decompose_towers(path[1:-1])
-        if len(path) > 2 and not any(t.colored for t in towers):
-            raise InvariantViolation("elevated path %r has no colored tower" % path)
+    if not is_elevated(path):
+        raise DomainError("not an elevated Dyck path: %r" % path)
+    towers = decompose_towers(path[1:-1])
+    if len(path) > 2 and not any(t.colored for t in towers):
+        raise InvariantViolation("elevated path %r has no colored tower" % path)
     return PathStats(peaks=path.count("UD"), up_peaks=path.count("UUD"), towers=towers)
 
 
@@ -187,7 +182,7 @@ def _elevated_stats(n: int):
     words with n U-steps.  Cached; bounded by the scale guard."""
     out = []
     for p in iter_elevated(n):
-        st = analyze(p, elevated=True)
+        st = analyze(p)
         out.append((st.up_peaks, sum(t.colored for t in st.towers), st.peaks))
     return tuple(out)
 
@@ -209,7 +204,7 @@ def labeled_gen(
         raise DomainError("unknown weight %r" % weight)
     if n < 0 or m < 0:
         raise DomainError("need n, m >= 0")
-    _check_scale(n, False)
+    _check_scale(n)
     idx = _SELECTOR_INDEX[selector]
     acc: dict[int, int] = {}
     for row in _elevated_stats(n):
@@ -224,7 +219,7 @@ def labeled_gen(
 def distribution(n: int) -> Poly:
     """Ordinary generating polynomial of the up-peak count over elevated
     paths: coefficient of q^k is the number of paths with k up-peaks."""
-    _check_scale(n, False)
+    _check_scale(n)
     return Poly.from_counts(Counter(row[0] for row in _elevated_stats(n)))
 
 
@@ -235,20 +230,6 @@ def peak_dist(k: int) -> Poly:
     if k == 0:
         return Poly.one()
     return narayana_poly(k).shift(1)
-
-
-@lru_cache(maxsize=None)
-def ballot_weighted_gen(n: int, r: int) -> Poly:
-    """Peak generating polynomial over (r+1)-tuples of Dyck paths with n
-    U-steps in total."""
-    if n < 0 or r < 0:
-        raise DomainError("need n, r >= 0")
-    if r == 0:
-        return peak_dist(n)
-    out = Poly.zero()
-    for k in range(n + 1):
-        out = out + peak_dist(k) * ballot_weighted_gen(n - k, r - 1)
-    return out
 
 
 # -- labeled paths and the two bijections -----------------------------

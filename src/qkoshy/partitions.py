@@ -177,12 +177,11 @@ def level_range(n: int, j: int) -> range:
     return range(0, min(box, (n + j) // 2) + 1)
 
 
-def iter_pairs(n: int, j: int, r: int, force: bool = False):
+def iter_pairs(n: int, j: int, r: int):
     box = pair_box(n, j)
     caps = [box - i for i in range(r)]
-    for mu in enumerate_partitions(box, exact_length=r, strict=True,
-                                   cap_schedule=caps, force=force):
-        for nu in enumerate_partitions(box, exact_length=n + j - 2 * r, force=force):
+    for mu in enumerate_partitions(box, exact_length=r, strict=True, cap_schedule=caps):
+        for nu in enumerate_partitions(box, exact_length=n + j - 2 * r):
             yield PartitionPair(mu, nu, n, j)
 
 
@@ -247,11 +246,11 @@ def lambda_side(n: int, j: int) -> Poly:
     return nu_side(n, j, 0)
 
 
-def rank_family_gen(n: int, j: int, force: bool = False) -> Poly:
+def rank_family_gen(n: int, j: int) -> Poly:
     """Sum of q^|lambda| over partitions with largest part at most
     n+j-2, at most n parts, and every successive rank below j-1."""
     if n < 0 or j < 1:
         raise DomainError("need n >= 0 and j >= 1")
     return Poly.from_counts(Counter(
-        sum(lam) for lam in enumerate_partitions(n + j - 2, max_length=n, force=force)
+        sum(lam) for lam in enumerate_partitions(n + j - 2, max_length=n)
         if all(rk < j - 1 for rk in successive_ranks(lam))))

@@ -14,11 +14,14 @@ substitution) so that one CPython big-int product does the work.  Both
 paths produce bit-identical results; the test suite checks that on
 random inputs and at the digit-width and sign-bit boundaries.
 
-The factor 1 - q^a, which every Gaussian binomial and T-term is built
-from, has its own two kernels on coefficient lists: multiplying by it is
-one shifted subtract, and dividing by it is one prefix sum over each
-residue class modulo a.  Poly.__mul__ and exact_div send that factor to
-them, so there is still one entry point for each operation.
+The factor 1 - q^a, which every Gaussian binomial, q-Catalan, q-ballot
+and T-term quotient is built from, has its own two kernels on
+coefficient lists: multiplying by it is one shifted subtract, and
+dividing by it is one prefix sum over each residue class modulo a.
+Poly.__mul__ and exact_div send that factor to them, so there is still
+one entry point for each operation.  Long division is left for the
+other divisors (the cyclotomic ones) and for finding the remainder of an
+inexact division.
 """
 
 from __future__ import annotations
@@ -320,8 +323,9 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 
     The divisor's leading coefficient must be +1 or -1 (UnsupportedDivisor
     otherwise); a nonzero remainder raises DivisionInexact carrying it.
-    A divisor 1 - q^a goes to the prefix-sum kernel, any other to long
-    division.
+    A divisor 1 - q^a goes to the prefix-sum kernel.  Long division serves
+    any other divisor (in this package, the cyclotomic ones) and finds the
+    remainder when 1 - q^a does not divide.
     """
     if not isinstance(a, Poly) or not isinstance(b, Poly):
         raise TypeError("exact_div expects Poly arguments")

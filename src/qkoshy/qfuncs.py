@@ -3,10 +3,13 @@
 Everything here returns a Poly (or a RationalForm where the object is
 genuinely a quotient).  Gaussian binomials are built by the product
 formula with interleaved exact divisions, which keeps every intermediate
-polynomial and costs O(k * deg); each step is one multiply and one divide
-by 1 - q^a, which poly runs on its own list kernels.  A small LRU holds
-recent results.  The test suite cross-checks them coefficient for
-coefficient against an independent Pascal-recurrence construction.
+polynomial and costs O(k * deg).  Every quotient here (q-binomial,
+q-Catalan, q-ballot, T-term) has one shape: multiply by 1 - q^a, divide
+by 1 - q^b, which poly runs on its own list kernels; a division by
+[k]_q = (1 - q^k) / (1 - q) is written that way too.  Only the
+cyclotomic divisors go through long division.  A small LRU holds recent
+results.  The test suite cross-checks them coefficient for coefficient
+against an independent Pascal-recurrence construction.
 """
 
 from __future__ import annotations
@@ -24,16 +27,6 @@ def q_int(n: int) -> Poly:
     if n < 0:
         raise DomainError("q_int needs n >= 0")
     return Poly._raw((1,) * n)
-
-
-@lru_cache(maxsize=None)
-def q_factorial(n: int) -> Poly:
-    if n < 0:
-        raise DomainError("q_factorial needs n >= 0")
-    out = Poly.one()
-    for i in range(1, n + 1):
-        out = out * q_int(i)
-    return out
 
 
 def q_pochhammer(sign: str, a: int, r: int) -> Poly:
@@ -78,10 +71,11 @@ def catalan(n: int) -> int:
 
 @lru_cache(maxsize=256)
 def q_catalan(n: int) -> Poly:
-    """C_n(q) = [2n choose n]_q / [n+1]_q, a polynomial of degree n(n-1)."""
+    """C_n(q) = [2n choose n]_q / [n+1]_q, a polynomial of degree n(n-1),
+    computed as (1 - q) [2n choose n]_q / (1 - q^(n+1))."""
     if n < 0:
         raise DomainError("q_catalan needs n >= 0")
-    return exact_div(q_binomial(2 * n, n), q_int(n + 1))
+    return exact_div(q_binomial(2 * n, n) * one_minus_q_to(1), one_minus_q_to(n + 1))
 
 
 def narayana_number(n: int, k: int) -> int:
@@ -108,13 +102,15 @@ def ballot_number(n: int, r: int) -> int:
 def q_ballot(j: int, n: int, method: str = "quotient") -> Poly:
     """q-ballot polynomial B_j(n, q); B_1 is the q-Catalan number.
 
-    quotient:   [j]_q / [2n+j]_q * [2n+j choose n]_q via exact division
+    quotient:   [j]_q / [2n+j]_q * [2n+j choose n]_q, computed with 1 - q
+                cancelled as (1 - q^j) [2n+j choose n]_q / (1 - q^(2n+j))
     difference: [2n+j-2 choose n]_q - q^j [2n+j-2 choose n-2]_q
     """
     if j < 1 or n < 1:
         raise DomainError("q_ballot needs j >= 1 and n >= 1")
     if method == "quotient":
-        return exact_div(q_int(j) * q_binomial(2 * n + j, n), q_int(2 * n + j))
+        return exact_div(q_binomial(2 * n + j, n) * one_minus_q_to(j),
+                         one_minus_q_to(2 * n + j))
     if method == "difference":
         head = q_binomial(2 * n + j - 2, n)
         if n < 2:

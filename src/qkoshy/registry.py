@@ -33,6 +33,7 @@ from .qfuncs import (
     catalan,
     cyclotomic,
     narayana_poly,
+    one_minus_q_to,
     q_ballot,
     q_binomial,
     q_binomial_sq,
@@ -95,11 +96,13 @@ def _fail(left, right, diff):
     return {"left": str(left), "right": str(right), "diff": str(diff)}
 
 
-_ONE_MINUS_Q = Poly(1, -1)
-
-
-def _omq_pow(k: int) -> Poly:
-    return _ONE_MINUS_Q ** k
+def _in_one_minus_q(coeffs) -> Poly:
+    """c_0 + c_1 (1-q) + c_2 (1-q)^2 + ... over the ints or Polys c_i given,
+    by Horner's rule: each step is one multiply by 1 - q."""
+    total = Poly.zero()
+    for c in reversed(coeffs):
+        total = total * one_minus_q_to(1) + c
+    return total
 
 
 def _alternating(terms) -> Poly:
@@ -130,40 +133,29 @@ def _chk_upeak_label(n, m):
 
 
 def _chk_upeak_gf(n):
-    lhs = dp.distribution(n)
-    qm1 = Poly(-1, 1)
-    rhs = Poly.zero()
-    for j in range(n + 1):
-        c = comb(n - j + 1, j) * catalan(n - j)
-        if c:
-            rhs = rhs + qm1 ** j * c
-    return _eq(lhs, rhs)
+    # sum over j of C(n-j+1, j) C_{n-j} (q-1)^j, with (q-1)^j = (-1)^j (1-q)^j
+    rhs = _in_one_minus_q([(-1) ** j * comb(n - j + 1, j) * catalan(n - j)
+                           for j in range(n + 1)])
+    return _eq(dp.distribution(n), rhs)
 
 
 def _chk_lassalle(n):
-    lhs = narayana_poly(n)
-    rhs = _omq_pow(n - 1)
+    """N_n = (1-q)^(n-1) + q sum_{k<n} N_{n-k} sum_{m<k} (-1)^m C(k-1, m)
+    C(n-m, k) (1-q)^(k-1-m), N_n the Narayana polynomial."""
     acc = Poly.zero()
     for k in range(1, n):
-        inner = Poly.zero()
-        for m in range(k):
-            c = (-1) ** m * comb(k - 1, m) * comb(n - m, k)
-            if c:
-                inner = inner + _omq_pow(k - m - 1) * c
+        inner = _in_one_minus_q([(-1) ** m * comb(k - 1, m) * comb(n - m, k)
+                                 for m in reversed(range(k))])
         acc = acc + narayana_poly(n - k) * inner
-    rhs = rhs + acc.shift(1)
-    return _eq(lhs, rhs)
+    rhs = _in_one_minus_q([0] * (n - 1) + [1]) + acc.shift(1)
+    return _eq(narayana_poly(n), rhs)
 
 
 def _ie_term(n, m, r, f):
     """The m-th inclusion-exclusion term of the tower and Lassalle rows:
     sum over k = m..n of C(n-k+1+r, m) C(k-1, m-1) (1-q)^(k-m) f(n-k) q^m."""
-    total = Poly.zero()
-    for k in range(m, n + 1):
-        c = comb(n - k + 1 + r, m) * comb(k - 1, m - 1)
-        if c:
-            total = total + _omq_pow(k - m) * f(n - k) * c
-    return total.shift(m)
+    return _in_one_minus_q([f(n - k) * (comb(n - k + 1 + r, m) * comb(k - 1, m - 1))
+                            for k in range(m, n + 1)]).shift(m)
 
 
 def _ie_alternating(n, r, f):
@@ -201,7 +193,7 @@ def _chk_lemma1(n, m):
     target = _lemma1_target(n - m, m)
     seen = {}
     for p in dp.iter_elevated(n):
-        starts = [t.start for t in dp.analyze(p, elevated=True).towers if t.colored]
+        starts = [t.start for t in dp.analyze(p).towers if t.colored]
         for chosen in combinations(starts, m):
             src = dp.LabeledPath(p, "towers", chosen)
             img = dp.lemma1_forward(src)
@@ -224,7 +216,7 @@ def _lemma2_target(n, m, r):
     if n < 1:
         return out
     for p in dp.iter_elevated(n):
-        starts = [t.start for t in dp.analyze(p, elevated=True).towers if t.colored]
+        starts = [t.start for t in dp.analyze(p).towers if t.colored]
         for chosen in combinations(starts, m):
             for w in combinations(chosen, r):
                 out.add((p, chosen, w))
@@ -235,7 +227,7 @@ def _chk_lemma2(n, m, r):
     target = _lemma2_target(n - r, m, r)
     seen = set()
     for p in dp.iter_elevated(n):
-        towers = [t for t in dp.analyze(p, elevated=True).towers if t.colored]
+        towers = [t for t in dp.analyze(p).towers if t.colored]
         starts = [t.start for t in towers]
         tall = {t.start for t in towers if t.height >= 2}
         for chosen in combinations(starts, m):
@@ -338,7 +330,8 @@ def _chk_cyclo_div(n, r):
         except DivisionInexact:
             return _fail(binom, "divisible by Phi_%d" % x, "inexact division")
     try:
-        exact_div(binom, q_int(2 * d))
+        # [2d]_q divides B exactly when 1 - q^(2d) divides (1 - q) B
+        exact_div(binom * one_minus_q_to(1), one_minus_q_to(2 * d))
     except DivisionInexact:
         return _fail(binom, "divisible by [%d]_q" % (2 * d), "inexact division")
     return None

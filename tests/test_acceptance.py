@@ -1,4 +1,5 @@
-"""Acceptance gate: thirteen exact criteria, one test per criterion.
+"""Acceptance gate: thirteen exact criteria, one test per criterion, and
+the whole `all` payload pinned against tests/golden/all.json.
 
 Everything is tolerance-zero.  Registry rows are exercised at their default
 ranges through the `all` command exactly as a user would run them; the
@@ -10,15 +11,18 @@ import json
 import os
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
 import qkoshy.conjecture as cj
 from qkoshy.cli import run
-from qkoshy.dyckpaths import analyze, ballot_weighted_gen, iter_elevated, labeled_gen
+from qkoshy.dyckpaths import analyze, iter_elevated, labeled_gen
 from qkoshy.partitions import involution_step, iter_pairs, level_range
 from qkoshy.poly import Poly
 from qkoshy.qfuncs import catalan, narayana_poly, q_catalan
+
+from oracles import ballot_weighted_gen
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +74,7 @@ def test_criterion_03_tower_machinery_to_9():
     t0 = time.perf_counter()
     for n in range(1, 10):
         for p in iter_elevated(n):
-            st = analyze(p, elevated=True)
+            st = analyze(p)
             if len(p) > 2:
                 assert len(st.towers) >= 1, p
             inner = p[1:-1]
@@ -218,3 +222,12 @@ def test_criterion_13_full_run_budget_and_stability(all_runs):
     a = json.dumps(_strip_elapsed(all_runs["p1"]), sort_keys=True)
     b = json.dumps(_strip_elapsed(all_runs["p2"]), sort_keys=True)
     assert a == b
+
+
+def test_all_payload_matches_golden(all_runs):
+    # same results means the same payload, key order included, apart from
+    # elapsed_ms; the golden file is that payload with every elapsed_ms key
+    # removed, rendered as the CLI renders JSON
+    golden = Path(__file__).resolve().parent / "golden" / "all.json"
+    got = json.dumps(_strip_elapsed(all_runs["p1"]), indent=1) + "\n"
+    assert got == golden.read_text()

@@ -326,6 +326,21 @@ def test_verdict_the_scan_does_not_confirm_is_an_error(monkeypatch):
         cj.sweep("odd-n", 6, 6)
 
 
+def test_column_stepped_wrong_is_an_error(monkeypatch):
+    # a failing cell's polynomial comes from conjecture_poly, not from the
+    # stepped column, so a wrong step that stays palindromic is caught by
+    # the scan instead of being reported as a counterexample
+    real = cj._div_one_minus
+
+    def stepped_wrong(c, a):
+        out = real(c, a)
+        return [1, 0, 0, 0, 1] if out == [1, 1, 2, 1, 1] else out  # [4 choose 2]_q
+
+    monkeypatch.setattr(cj, "_div_one_minus", stepped_wrong)
+    with pytest.raises(InvariantViolation, match="m=4 n=3 j=None: criterion and scan disagree"):
+        cj.sweep("odd-n", 4, 3)
+
+
 def test_counterexample_reporting_path(monkeypatch):
     # no real counterexample is known, so exercise the reporting machinery
     # by planting a fake break at two specific cells

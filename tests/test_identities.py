@@ -2,6 +2,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qkoshy import registry
 from qkoshy.cli import run
@@ -42,6 +44,18 @@ ALL_IDS = [
 
 def test_registry_roster():
     assert registry.list_identities() == ALL_IDS
+
+
+small_polys = st.lists(st.integers(-9, 9), max_size=8).map(Poly)
+
+
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6), small_polys), max_size=12))
+def test_sum_in_one_minus_q_against_powers(coeffs):
+    # Horner's rule against the sum of c_i (1 - q)^i built with **
+    want = Poly.zero()
+    for i, c in enumerate(coeffs):
+        want = want + Poly(1, -1) ** i * c
+    assert registry._in_one_minus_q(coeffs) == want
 
 
 def test_report_shape_and_pass():

@@ -7,7 +7,6 @@ from qkoshy.dyckpaths import (
     LabeledPath,
     Tower,
     analyze,
-    ballot_weighted_gen,
     decompose_towers,
     distribution,
     is_dyck,
@@ -26,6 +25,8 @@ from qkoshy.dyckpaths import (
 from qkoshy.errors import DomainError, InvariantViolation, MalformedLabel, ScaleLimit
 from qkoshy.poly import Poly
 from qkoshy.qfuncs import ballot_number, catalan, q_ballot, q_catalan
+
+from oracles import ballot_weighted_gen
 
 
 def test_predicates():
@@ -90,7 +91,7 @@ def test_major_index_ballot():
 
 
 def test_analyze_frozen_example():
-    st = analyze("UUUDDUDUDD", elevated=True)
+    st = analyze("UUUDDUDUDD")
     assert st.peaks == 3
     assert st.up_peaks == 1
     assert [(t.start, t.height, t.colored) for t in st.towers] == [
@@ -101,12 +102,12 @@ def test_analyze_frozen_example():
 
 
 def test_analyze_smallest_paths():
-    st = analyze("UD", elevated=True)
+    st = analyze("UD")
     assert st.towers == ()
-    st = analyze("UUDD", elevated=True)
+    st = analyze("UUDD")
     assert [(t.start, t.height, t.colored) for t in st.towers] == [(0, 1, True)]
     with pytest.raises(DomainError):
-        analyze("UDUD", elevated=True)
+        analyze("UDUD")
     with pytest.raises(DomainError):
         analyze("UDX")
 
@@ -114,7 +115,7 @@ def test_analyze_smallest_paths():
 def test_usteps_split_into_uu_and_towers():
     for n in range(1, 8):
         for p in iter_elevated(n):
-            st = analyze(p, elevated=True)
+            st = analyze(p)
             # every U-step is followed by a U-step or is the peak of one tower
             u_steps = p.count("U")
             uu_steps = sum(p[i:i + 2] == "UU" for i in range(len(p) - 1))
@@ -130,7 +131,7 @@ def test_tower_coloring_rules():
     for n in range(1, 8):
         for p in iter_elevated(n):
             inner = p[1:-1]
-            for t in analyze(p, elevated=True).towers:
+            for t in analyze(p).towers:
                 if t.colored:
                     if t.start == 0:
                         continue  # preceded by the elevating U
@@ -138,7 +139,7 @@ def test_tower_coloring_rules():
                     if prev == "U":
                         continue
                     found = False
-                    for u in analyze(p, elevated=True).towers:
+                    for u in analyze(p).towers:
                         if u.end == t.start - 1 and not u.colored:
                             found = True
                     assert found, (p, t)
@@ -173,7 +174,7 @@ def test_distribution_consistency():
         # peak-weighted m=1 sum equals sum over paths of up_peaks * q^peaks
         acc = {}
         for p in iter_elevated(n):
-            st = analyze(p, elevated=True)
+            st = analyze(p)
             acc[st.peaks] = acc.get(st.peaks, 0) + st.up_peaks
         want = Poly(*[acc.get(i, 0) for i in range(max(acc) + 1)]) if acc else Poly.zero()
         assert labeled_gen(n, "up-peaks", 1, weight="peak-weight-q") == want
@@ -193,7 +194,7 @@ def test_ballot_weighted_gen():
 
 def lemma1_all_sources(n, m):
     for p in iter_elevated(n):
-        st = analyze(p, elevated=True)
+        st = analyze(p)
         colored = [t.start for t in st.towers if t.colored]
         from itertools import combinations
 
@@ -240,7 +241,7 @@ def lemma2_all_sources(n, m, r):
     from itertools import combinations
 
     for p in iter_elevated(n):
-        st = analyze(p, elevated=True)
+        st = analyze(p)
         colored = [t for t in st.towers if t.colored]
         tall = [t.start for t in colored if t.height >= 2]
         for w in combinations(tall, r):

@@ -1,4 +1,6 @@
 import json
+from functools import lru_cache
+from itertools import islice
 
 import pytest
 
@@ -16,7 +18,6 @@ from qkoshy.qfuncs import (
     q_binomial,
     q_binomial_sq,
     q_catalan,
-    q_factorial,
     q_int,
     q_lucas_check,
     q_pochhammer,
@@ -73,17 +74,35 @@ def test_q_binomial_edges():
     assert q_binomial(4, 2)(1) == 6
 
 
-def pascal_q_binomial(m, k):
-    """[m choose k]_q by the Pascal recurrence, the independent oracle
-    for q_binomial's multiply/divide-by-(1 - q^a) construction."""
+def pascal_rows(k_max):
+    """The rows [m choose 0..min(m, k_max)]_q for m = 0, 1, 2, ... by the
+    Pascal recurrence [m choose j] = [m-1 choose j-1] + q^j [m-1 choose j],
+    the independent oracle for the multiply/divide-by-(1 - q^a)
+    constructions of qfuncs."""
     row = [Poly.one()]
-    for i in range(1, m + 1):
+    while True:
+        yield row
         prev = row
         row = [Poly.one()]
-        for j in range(1, min(i, k) + 1):
+        for j in range(1, min(len(prev), k_max) + 1):
             right = prev[j] if j < len(prev) else Poly.zero()
             row.append(prev[j - 1] + right.shift(j))
-    return row[k] if 0 <= k < len(row) else Poly.zero()
+
+
+def pascal_q_binomial(m, k):
+    """[m choose k]_q from pascal_rows."""
+    if not 0 <= k <= m:
+        return Poly.zero()
+    return next(islice(pascal_rows(k), m, None))[k]
+
+
+@lru_cache(maxsize=None)
+def q_factorial(n):
+    """[n]_q! = [1]_q [2]_q ... [n]_q."""
+    out = Poly.one()
+    for i in range(1, n + 1):
+        out = out * q_int(i)
+    return out
 
 
 def test_pascal_recurrence_agrees():
@@ -158,6 +177,15 @@ def test_q_catalan_spots():
         assert lhs == rhs
 
 
+def test_q_catalan_against_pascal_difference():
+    # C_n(q) = [2n choose n]_q - q [2n choose n+1]_q, a form with no division
+    for m, row in zip(range(81), pascal_rows(41)):
+        if m % 2 == 0:
+            n = m // 2
+            above = row[n + 1] if n + 1 < len(row) else Poly.zero()
+            assert q_catalan(n) == row[n] - above.shift(1), n
+
+
 def test_cyclotomic_table():
     table = {
         1: Poly(-1, 1),
@@ -208,6 +236,11 @@ def test_q_ballot():
             )
             assert forms_equal, (j, n)
             assert q_ballot(j, n)(1) == ballot_number(n, j - 1)
+    # the quotient form divides by 1 - q^(2n+j); the difference form
+    # divides by nothing
+    for n in range(1, 41):
+        for j in range(1, 13):
+            assert q_ballot(j, n) == q_ballot(j, n, method="difference"), (j, n)
     with pytest.raises(DomainError):
         q_ballot(0, 3)
     with pytest.raises(DomainError):
