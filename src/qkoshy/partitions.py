@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import ge, gt
 
 from .errors import DomainError, InvariantViolation, NoRepeatedPart, ScaleLimit
 from .poly import Poly
@@ -100,10 +101,6 @@ def render_partition(parts) -> str:
     return "[" + ",".join(str(p) for p in parts) + "]"
 
 
-def _is_weakly_decreasing(parts):
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
-
-
 def pair_box(n: int, j: int) -> int:
     return n - 1 if j == 1 else n
 
@@ -123,17 +120,18 @@ class PartitionPair:
         box = pair_box(self.n, self.j)
         mu, nu = self.mu, self.nu
         r = len(mu)
-        if any(p < 1 for p in mu) or any(mu[i] <= mu[i + 1] for i in range(r - 1)):
+        # A strictly decreasing mu is positive when its last part is, and
+        # its parts meet their caps box - i when its first part does, since
+        # mu[i] <= mu[0] - i.  A weakly decreasing nu lies in [1, box] when
+        # its end parts do.
+        if not all(map(gt, mu, mu[1:])) or (mu and mu[-1] < 1):
             raise InvariantViolation("mu must be strictly decreasing and positive")
-        for i, p in enumerate(mu):
-            if p > box - i:
-                raise InvariantViolation(
-                    "mu part %d at position %d exceeds cap %d" % (p, i + 1, box - i)
-                )
+        if mu and mu[0] > box:
+            raise InvariantViolation("mu part %d at position 1 exceeds cap %d" % (mu[0], box))
         want = self.n + self.j - 2 * r
         if len(nu) != want:
             raise InvariantViolation("nu needs exactly %d parts, got %d" % (want, len(nu)))
-        if any(p < 1 or p > box for p in nu) or not _is_weakly_decreasing(nu):
+        if not all(map(ge, nu, nu[1:])) or (nu and (nu[-1] < 1 or nu[0] > box)):
             raise InvariantViolation("nu parts must weakly decrease within [1, %d]" % box)
 
     @property

@@ -16,3 +16,11 @@ def ballot_weighted_gen(n, r):
     for k in range(n + 1):
         out = out + peak_dist(k) * ballot_weighted_gen(n - k, r - 1)
     return out
+
+
+def poly_pow(p, e):
+    """p^e for e >= 0, by repeated multiplication."""
+    out = Poly.one()
+    for _ in range(e):
+        out = out * p
+    return out

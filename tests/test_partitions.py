@@ -94,6 +94,27 @@ def test_pair_validation():
         PartitionPair((), (1, 1), 2, 1)  # nu has wrong length for r = 0
 
 
+@pytest.mark.parametrize("mu, nu, n, j, message", [
+    ((), (), 0, 1, "need n >= 1 and j >= 1"),
+    ((), (1,), 1, 0, "need n >= 1 and j >= 1"),
+    ((2, 0), (1,), 3, 1, "mu must be strictly decreasing and positive"),
+    ((-1,), (1, 1), 3, 1, "mu must be strictly decreasing and positive"),
+    ((1, 1), (1,), 4, 1, "mu must be strictly decreasing and positive"),
+    ((1, 2), (1,), 4, 1, "mu must be strictly decreasing and positive"),
+    ((2,), (1,), 2, 1, "mu part 2 at position 1 exceeds cap 1"),
+    ((6, 4, 1), (1, 1, 1), 5, 4, "mu part 6 at position 1 exceeds cap 5"),
+    ((), (1, 1), 2, 1, "nu needs exactly 3 parts, got 2"),
+    ((1,), (1, 1), 2, 1, "nu needs exactly 1 parts, got 2"),
+    ((), (2, 1, 1), 2, 1, "nu parts must weakly decrease within [1, 1]"),
+    ((), (2, 2, 1, 0), 2, 2, "nu parts must weakly decrease within [1, 2]"),
+    ((), (1, 2, 1, 1), 2, 2, "nu parts must weakly decrease within [1, 2]"),
+])
+def test_pair_validation_messages(mu, nu, n, j, message):
+    with pytest.raises(InvariantViolation) as exc:
+        PartitionPair(mu, nu, n, j)
+    assert str(exc.value) == message
+
+
 def test_involution_hand_example():
     # n=2, j=1: level r=0 holds the single pair ((), (1,1,1)); the smallest
     # repeated value 1 moves two copies out of nu and one part onto mu

@@ -1,3 +1,4 @@
+import array
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from qkoshy.poly import (
     shape,
     unimodal_break_index,
 )
+
+from oracles import poly_pow
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=40)
 
@@ -52,9 +55,14 @@ def test_arithmetic_spots():
     q = Poly.q()
     assert (Poly.one() + q) * (Poly.one() - q) == Poly(1, 0, -1)
     assert q * q * q == Poly.monomial(3)
-    assert Poly(1, 1) ** 2 == Poly(1, 2, 1)
     assert Poly(2, 3)(5) == 17
     assert Poly(1, 1, 1)(1) == 3
+
+
+def test_poly_pow_reference():
+    assert poly_pow(Poly(1, 1), 2) == Poly(1, 2, 1)
+    assert poly_pow(Poly(1, 1), 0) == Poly.one()
+    assert poly_pow(Poly(1, -1), 5) == Poly(1, -5, 10, -10, 5, -1)
 
 
 @given(coeff_lists, coeff_lists)
@@ -191,6 +199,72 @@ def test_mul_kronecker_at_digit_boundaries(k):
             got = poly._mul_kronecker(tuple(a), tuple(b))
             assert len(got) == la + lb - 1
             assert poly._trim(got) == tuple(ref_convolve(a, b)), (sign_a, sign_b, la, lb)
+
+
+# Each digit is 8 * size * k bits: one word of 1, 2, 4 or 8 bytes, then
+# k words of 4 bytes.  A bound of bit length D - 1 still fits a D-bit
+# digit; one of bit length D takes the next layout.
+DIGIT_BITS = [8, 16, 32, 64, 96, 128, 160, 192, 224]
+
+
+@pytest.mark.parametrize("bits", DIGIT_BITS[:-1])
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_mul_kronecker_word_layouts(bits, side):
+    rng = random.Random(bits * 2 + (side == "above"))
+    want_bits = bits if side == "below" else DIGIT_BITS[DIGIT_BITS.index(bits) + 1]
+    signs = {"nonnegative": [1], "negative": [-1], "mixed": [1, -1]}
+    for sign_a, sign_b in [("nonnegative", "nonnegative"), ("negative", "negative"),
+                           ("negative", "nonnegative"), ("mixed", "mixed"),
+                           ("nonnegative", "mixed")]:
+        for la, lb in [(1, 1), (1, 9), (3, 40), (17, 17), (40, 33), (40, 40)]:
+            m = min(la, lb)
+            top_a = rng.randint(1, (1 << (bits - 2)) // m)
+            # the largest bound below 2^(bits-1), or the smallest from it up
+            if side == "below":
+                top_b = ((1 << (bits - 1)) - 1) // (m * top_a)
+            else:
+                top_b = -(-(1 << (bits - 1)) // (m * top_a))
+            bound = m * top_a * top_b
+            assert bound.bit_length() == (bits - 1 if side == "below" else bits)
+            size, k = poly._layout(bound)
+            assert bound.bit_length() < 8 * size * k == want_bits
+            assert size in (1, 2, 4, 8) and (k == 1 or size == 4)
+            # every operand reaches its largest magnitude at least once
+            a = [top_a * rng.choice(signs[sign_a]) for _ in range(la)]
+            b = [top_b * rng.choice(signs[sign_b]) for _ in range(lb)]
+            a[0], b[-1] = top_a * signs[sign_a][-1], top_b * signs[sign_b][-1]
+            got = poly._mul_kronecker(tuple(a), tuple(b))
+            assert len(got) == la + lb - 1
+            assert poly._trim(got) == tuple(ref_convolve(a, b)), (sign_a, sign_b, la, lb)
+
+
+class BigEndianWords(array.array):
+    """An array whose bytes come out and go in as a big-endian host's would."""
+
+    def tobytes(self):
+        swapped = array.array(self.typecode, self)
+        swapped.byteswap()
+        return swapped.tobytes()
+
+    def frombytes(self, data):
+        native = array.array(self.typecode)
+        native.frombytes(data)
+        native.byteswap()
+        self.extend(native)
+
+
+@given(coeff_lists, coeff_lists, st.integers(0, 200))
+@settings(max_examples=60)
+def test_mul_kronecker_on_a_big_endian_host(a, b, shift):
+    # the byteswap path, run on any host by faking native big-endian words
+    a = [c << shift for c in a]
+    if not any(a) or not any(b):
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_SWAP", True)
+        mp.setattr(poly, "array", BigEndianWords)
+        got = poly._mul_kronecker(tuple(a), tuple(b))
+    assert poly._trim(got) == tuple(ref_convolve(a, b))
 
 
 def test_shift_and_substitutions():
