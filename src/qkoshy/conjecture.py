@@ -161,7 +161,9 @@ def _sweep_column(case, n, m_max, j_max, skip):
     (_rises_to_centre; odd-n is j = 1).  Only a failing cell builds its
     polynomial, with conjecture_poly and so apart from the stepped list;
     a scan of it gives the break index of its record, and a scan that
-    finds no break means the stepping or the verdict is broken.
+    finds no break means the stepping or the verdict is broken.  The
+    consequence cells take r = 1, 2, ... in turn, so t_term_poly steps
+    each T_r(n) from T_{r-1}(n) (qfuncs.t_step) instead of building it.
     """
     jays = (None,) if case == "odd-n" else tuple(range(2, j_max + 1, 2))
     start = n

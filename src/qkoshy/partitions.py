@@ -11,11 +11,12 @@ changing the level by one and preserving 2|mu| + |nu|.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import ge, gt
+from operator import ge, gt, neg
 
 from .errors import DomainError, InvariantViolation, NoRepeatedPart, ScaleLimit
 from .poly import Poly
@@ -149,25 +150,24 @@ class PartitionPair:
 def involution_step(pair: PartitionPair) -> PartitionPair:
     """Move the smallest repeated value of mu + mu + nu across the pair.
 
-    When that value x is mu's last part, the part is dropped and (x, x)
-    joins nu; otherwise x repeats inside nu alone, two copies leave nu
-    and x becomes mu's new last part.  Always an involution with the
-    level changing by one.
+    Every part of mu counts twice, so that value x is the smaller of mu's
+    last part and the smallest value repeated in nu, which one backward
+    scan of the weakly decreasing nu finds.  When x is mu's last part, the
+    part is dropped and (x, x) joins nu in its sorted place; otherwise two
+    copies of x leave nu and x becomes mu's new last part.  Always an
+    involution with the level changing by one.
     """
-    counts = Counter(pair.nu)
-    for p in pair.mu:
-        counts[p] += 2
-    repeated = [v for v, c in counts.items() if c >= 2]
-    if not repeated:
+    mu, nu = pair.mu, pair.nu
+    i = len(nu) - 1
+    while i > 0 and nu[i] != nu[i - 1]:
+        i -= 1
+    if mu and (i <= 0 or mu[-1] <= nu[i]):
+        x = mu[-1]
+        at = bisect_right(nu, -x, key=neg)
+        return PartitionPair(mu[:-1], nu[:at] + (x, x) + nu[at:], pair.n, pair.j)
+    if i <= 0:
         raise NoRepeatedPart("no value repeats in the pair %s" % pair.render())
-    x = min(repeated)
-    if pair.mu and pair.mu[-1] == x:
-        nu = tuple(sorted(pair.nu + (x, x), reverse=True))
-        return PartitionPair(pair.mu[:-1], nu, pair.n, pair.j)
-    nu = list(pair.nu)
-    nu.remove(x)
-    nu.remove(x)
-    return PartitionPair(pair.mu + (x,), tuple(nu), pair.n, pair.j)
+    return PartitionPair(mu + (nu[i],), nu[:i - 1] + nu[i + 1:], pair.n, pair.j)
 
 
 def level_range(n: int, j: int) -> range:

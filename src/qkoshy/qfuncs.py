@@ -10,6 +10,13 @@ by 1 - q^b, which poly runs on its own list kernels; a division by
 cyclotomic divisors go through long division.  A small LRU holds recent
 results.  The test suite cross-checks them coefficient for coefficient
 against an independent Pascal-recurrence construction.
+
+The alternating T-terms are stepped in r rather than built afresh: the
+ratio of consecutive terms is a product of three factors 1 - q^a over
+three factors 1 - q^b, so a step is six list-kernel calls and no dense
+product (t_step).  t_term_poly and the difference form t_term_diff hold
+the last term of each (n, j) and step from it when the next r is asked
+for; any other request builds its term directly.
 """
 
 from __future__ import annotations
@@ -17,9 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
 from .errors import DivisionInexact, DomainError
-from .poly import Poly, RationalForm, exact_div
+from .poly import Poly, RationalForm, _div_one_minus, _mul_one_minus, exact_div
 
 
 def q_int(n: int) -> Poly:
@@ -198,34 +206,119 @@ def q_binomial_sq(m: int, k: int) -> Poly:
     return q_binomial(m, k).subs_power(2)
 
 
-def t_term_poly(r: int, n: int, j: int) -> Poly:
-    """The r-th alternating term as an exact polynomial.
+# The stepper holds the last term it made for each (n, j, form): callers
+# ask for r = 1, 2, ... in turn inside a cell (andrews, qballot-koshy, a
+# sweep column) or across sorted cells (theorem1-*, t-forms, and tj-poly,
+# whose inner j makes up to 12 keys alternate), so a few keys are enough.
+_HELD_CAP = 16
+_held = {}
 
-    Computed as q^(r^2-r) [n choose r]_{q^2} [2n+j-1-2r choose n-1]_q
-    times (1 - q^j) / (1 - q^n); both factors are sparse so this is one
-    cheap multiply and one cheap exact division.  Zero when n < 2r-j
-    (the second binomial vanishes there).
+
+def _div_exact(c, a, what):
+    """c / (1 - q^a) on coefficient lists; DivisionInexact if it does not divide."""
+    out = _div_one_minus(c, a)
+    if out is None:
+        raise DivisionInexact("%s: 1 - q^%d does not divide" % (what, a))
+    return out
+
+
+def _step_exponents(r, n, j):
+    """The exponents of the factors 1 - q^a above and below the line in
+    P_{r+1} / P_r, where P_r = [n choose r]_{q^2} [2n+j-1-2r choose n-1]_q."""
+    return ((2 * (n - r), n + j - 2 * r, n + j - 2 * r - 1),
+            (2 * r + 2, 2 * n + j - 1 - 2 * r, 2 * n + j - 2 - 2 * r))
+
+
+def t_step(c, r, n, j):
+    """The coefficient list of X_{r+1} from the list c of X_r, for
+    X_r = f * P_r(n, j) with P_r = [n choose r]_{q^2} [2n+j-1-2r choose n-1]_q
+    and any factor f free of r.
+
+    Multiplies by the three numerator factors 1 - q^a first, so each
+    partial quotient is X_{r+1} times the denominators not yet divided
+    out and every division is exact.  A numerator factor 1 - q^0 means
+    X_{r+1} vanishes (r = n, or n < 2(r+1) - j), and zero stays zero.
+    """
+    if not c:
+        return []
+    nums, dens = _step_exponents(r, n, j)
+    if min(nums) <= 0:
+        return []
+    for a in nums:
+        c = _mul_one_minus(c, a)
+    for b in dens:
+        c = _div_exact(c, b, "T-term step r=%d n=%d j=%d" % (r, n, j))
+    return c
+
+
+def _direct_term(r, n, j, quotient):
+    """P_r(n, j), times (1 - q^j) / (1 - q^n) when quotient, without the
+    neighbour r - 1.  At r = 1, [n choose 1]_{q^2} = (1 - q^(2n)) / (1 - q^2)
+    makes it one q_binomial and two kernel calls (four with the quotient);
+    a larger r takes a product of two q-binomials."""
+    if r > n or n < 2 * r - j:
+        return []
+    binom = q_binomial(2 * n + j - 1 - 2 * r, n - 1)
+    divisors = []
+    if r == 1:
+        c = _mul_one_minus(binom.coeffs, 2 * n)
+        divisors.append(2)
+    else:
+        c = (q_binomial_sq(n, r) * binom).coeffs
+    if quotient:
+        c = _mul_one_minus(c, j)
+        divisors.append(n)
+    for b in divisors:
+        c = _div_exact(c, b, "T-term r=%d n=%d j=%d" % (r, n, j))
+    return list(c)
+
+
+def _held_term(r, n, j, quotient):
+    """The coefficient list of q^-(r^2-r) T_r^(j)(n) when quotient, else of
+    P_r(n, j): the held term itself when it is r, one t_step from it when
+    it is r - 1, and otherwise built directly.  It is held in its place."""
+    key = (n, j, quotient)
+    held = _held.pop(key, None)
+    if held is not None and held[0] == r:
+        c = held[1]
+    elif held is not None and held[0] == r - 1:
+        c = t_step(held[1], r - 1, n, j)
+    else:
+        c = _direct_term(r, n, j, quotient)
+    _held[key] = (r, c)
+    if len(_held) > _HELD_CAP:
+        del _held[next(iter(_held))]
+    return c
+
+
+def t_term_poly(r: int, n: int, j: int) -> Poly:
+    """The r-th alternating term as an exact polynomial,
+    q^(r^2-r) [n choose r]_{q^2} [2n+j-1-2r choose n-1]_q (1 - q^j) / (1 - q^n).
+
+    Stepped from the held term r - 1 of the same (n, j) when there is one
+    (t_step: three multiplies and three exact divisions by 1 - q^a);
+    otherwise built directly, which at r = 1 is one q_binomial and four
+    kernel calls.  Zero when r > n or n < 2r-j, where a binomial vanishes.
     """
     if r < 1 or j < 1 or n < 1:
         raise DomainError("t_term needs r >= 1, j >= 1, n >= 1")
-    if n < 2 * r - j:
-        return Poly.zero()
-    core = q_binomial_sq(n, r) * q_binomial(2 * n + j - 1 - 2 * r, n - 1)
-    num = core * one_minus_q_to(j)
-    return exact_div(num, one_minus_q_to(n)).shift(r * r - r)
+    return Poly._raw(_held_term(r, n, j, True)).shift(r * r - r)
 
 
 def t_term_diff(r: int, n: int) -> Poly:
     """The j = 1 term in difference form, for n >= max(1, 2r-1):
-    q^(r^2-r) ([n choose r]_{q^2} [2n-2r choose n-1]_q
-    - (q + q^(n+1)) [n-1 choose r]_{q^2} [2n-2r-1 choose n-2]_q).
-    The subtracted product is left out at n = 1, where its vanishing
-    first factor meets out-of-range binomial indices."""
-    t = q_binomial_sq(n, r) * q_binomial(2 * n - 2 * r, n - 1)
+    q^(r^2-r) (A_r - (q + q^(n+1)) S_r) with A_r = [n choose r]_{q^2}
+    [2n-2r choose n-1]_q and S_r = [n-1 choose r]_{q^2} [2n-2r-1 choose n-2]_q.
+    A_r is P_r(n, 1) and S_r is P_r(n - 1, 2), and each is stepped in r
+    like t_term_poly.  S_r is left out at n = 1, where its vanishing first
+    factor meets out-of-range binomial indices."""
+    t = _held_term(r, n, 1, False)
     if n >= 2:
-        sub = q_binomial_sq(n - 1, r) * q_binomial(2 * n - 2 * r - 1, n - 2)
-        t = t - sub * (Poly.q() + Poly.monomial(n + 1))
-    return t.shift(r * r - r)
+        s = _held_term(r, n - 1, 2, False)
+        t = t + [0] * max(0, len(s) + n + 1 - len(t))
+        for k in (1, n + 1):
+            t[k:k + len(s)] = map(sub, t[k:k + len(s)], s)
+    return Poly._raw(t).shift(r * r - r)
 
 
 def t_term(r: int, n: int, j: int = 1) -> TTermForms:

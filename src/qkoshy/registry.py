@@ -418,10 +418,14 @@ def _chk_qballot_koshy(n, j):
 
 
 def _chk_tj_poly(n, r, j):
-    t = t_term_poly(r, n, j)
-    lhs = t * (Poly.one() - Poly.monomial(n))
-    core = (q_binomial_sq(n, r) * q_binomial(2 * n + j - 1 - 2 * r, n - 1))
-    rhs = (core * (Poly.one() - Poly.monomial(j))).shift(r * r - r)
+    """(1 - q^n) T_r^(j)(n) against its product form.  Cells come in
+    sorted order, so t_term_poly steps each r >= 2 from r - 1 of the same
+    (n, j), while the right side multiplies the two q-binomials: a
+    stepping fault shows here even when every stepped row agrees with
+    itself."""
+    lhs = t_term_poly(r, n, j) * one_minus_q_to(n)
+    core = q_binomial_sq(n, r) * q_binomial(2 * n + j - 1 - 2 * r, n - 1)
+    rhs = (core * one_minus_q_to(j)).shift(r * r - r)
     return _eq(lhs, rhs)
 
 

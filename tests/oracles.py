@@ -24,3 +24,43 @@ def poly_pow(p, e):
     for _ in range(e):
         out = out * p
     return out
+
+
+# -- evaluation modulo a prime, with no Poly -----------------------------
+
+P61 = (1 << 61) - 1
+
+
+def eval_mod(coeffs, x, p=P61):
+    """A coefficient list at q = x modulo p, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _ratio_mod(tops, bottoms, x, p):
+    """The product of (1 - x^a) over tops divided by that over bottoms,
+    modulo p, or None when a bottom factor vanishes at x."""
+    num = den = 1
+    for a in tops:
+        num = num * (1 - pow(x, a, p)) % p
+    for b in bottoms:
+        den = den * (1 - pow(x, b, p)) % p
+    if den == 0:
+        return None
+    return num * pow(den, -1, p) % p
+
+
+def t_term_mod(r, n, j, x, p=P61):
+    """T_r^(j)(n) = q^(r^2-r) [n choose r]_{q^2} [2n+j-1-2r choose n-1]_q
+    (1 - q^j) / (1 - q^n) at q = x modulo p, from its product form:
+    [m choose k]_q is the product of (1 - q^(m-k+i)) / (1 - q^i) over
+    i = 1..k.  None when a denominator vanishes at x."""
+    if r > n or n < 2 * r - j:
+        return 0
+    tops = [2 * (n - r + i) for i in range(1, r + 1)]
+    tops += [n + j - 2 * r + i for i in range(1, n)] + [j]
+    bottoms = [2 * i for i in range(1, r + 1)] + list(range(1, n)) + [n]
+    value = _ratio_mod(tops, bottoms, x, p)
+    return None if value is None else value * pow(x, r * r - r, p) % p

@@ -1,8 +1,9 @@
+from collections import Counter
 from math import comb
 
 import pytest
 
-from qkoshy.errors import InvariantViolation, ScaleLimit
+from qkoshy.errors import InvariantViolation, NoRepeatedPart, ScaleLimit
 from qkoshy.partitions import (
     PartitionPair,
     conjugate,
@@ -135,6 +136,36 @@ def test_involution_is_weight_preserving_pairing():
                     assert out.r in (pair.r - 1, pair.r + 1)
                     assert out != pair
                     assert involution_step(out) == pair
+
+
+def _counter_involution_step(pair):
+    """The involution as first written: count mu + mu + nu with a Counter,
+    take the least repeated value, and re-sort nu after an insertion."""
+    counts = Counter(pair.nu)
+    for p in pair.mu:
+        counts[p] += 2
+    repeated = [v for v, c in counts.items() if c >= 2]
+    if not repeated:
+        raise NoRepeatedPart("no value repeats")
+    x = min(repeated)
+    if pair.mu and pair.mu[-1] == x:
+        nu = tuple(sorted(pair.nu + (x, x), reverse=True))
+        return PartitionPair(pair.mu[:-1], nu, pair.n, pair.j)
+    nu = list(pair.nu)
+    nu.remove(x)
+    nu.remove(x)
+    return PartitionPair(pair.mu + (x,), tuple(nu), pair.n, pair.j)
+
+
+def test_involution_step_matches_counter_reference():
+    seen = 0
+    for n in range(1, 7):
+        for j in range(1, 5):
+            for r in level_range(n, j):
+                for pair in iter_pairs(n, j, r):
+                    assert involution_step(pair) == _counter_involution_step(pair), pair
+                    seen += 1
+    assert seen > 1000
 
 
 def test_side_gen_frozen_spots():

@@ -2,7 +2,11 @@ import json
 from functools import lru_cache
 from itertools import islice
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkoshy import qfuncs, registry
 from qkoshy.cli import run
@@ -14,6 +18,7 @@ from qkoshy.qfuncs import (
     cyclotomic,
     narayana_number,
     narayana_poly,
+    one_minus_q_to,
     q_ballot,
     q_binomial,
     q_binomial_sq,
@@ -21,9 +26,13 @@ from qkoshy.qfuncs import (
     q_int,
     q_lucas_check,
     q_pochhammer,
+    t_step,
     t_term,
+    t_term_diff,
     t_term_poly,
 )
+
+from oracles import eval_mod, t_term_mod
 
 
 def box_gen(width, height):
@@ -257,6 +266,132 @@ def test_t_term_poly_spots():
     assert t_term_poly(4, 2, 1) == Poly.zero()
     with pytest.raises(DomainError):
         t_term_poly(0, 3, 1)
+
+
+def _product_t(r, n, j):
+    """T_r^(j)(n) from the product of its two q-binomials."""
+    if r > n or n < 2 * r - j:
+        return Poly.zero()
+    core = q_binomial_sq(n, r) * q_binomial(2 * n + j - 1 - 2 * r, n - 1)
+    return exact_div(core * one_minus_q_to(j), one_minus_q_to(n)).shift(r * r - r)
+
+
+def _product_andrews(r, n):
+    """Andrews's A_r and S_r from their products (S_r is zero at n = 1)."""
+    a = q_binomial_sq(n, r) * q_binomial(2 * n - 2 * r, n - 1)
+    if n < 2:
+        return a, Poly.zero()
+    return a, q_binomial_sq(n - 1, r) * q_binomial(2 * n - 2 * r - 1, n - 2)
+
+
+def test_t_step_against_product_form():
+    # every r from 1 past the last nonzero term, so each walk crosses the
+    # region n < 2r - j and takes its first vanishing step
+    for n in range(1, 41):
+        for j in range(1, 7):
+            c = qfuncs._direct_term(1, n, j, True)
+            for r in range(1, n + 2):
+                want = _product_t(r, n, j)
+                assert Poly(c).shift(r * r - r) == want, (r, n, j)
+                assert (c == []) == (r > min(n, (n + j) // 2)), (r, n, j)
+                c = t_step(c, r, n, j)
+
+
+def test_stepped_andrews_terms_against_products():
+    for n in range(1, 41):
+        a = qfuncs._direct_term(1, n, 1, False)
+        s = qfuncs._direct_term(1, n - 1, 2, False) if n >= 2 else []
+        for r in range(1, (n + 1) // 2 + 1):
+            want_a, want_s = _product_andrews(r, n)
+            assert Poly(a) == want_a and Poly(s) == want_s, (r, n)
+            a, s = t_step(a, r, n, 1), t_step(s, r, n - 1, 2)
+        assert a == [] and s == []
+
+
+def test_t_term_diff_matches_products_and_t_term_poly():
+    qfuncs._held.clear()
+    for n in range(1, 31):
+        for r in range(1, (n + 1) // 2 + 1):
+            a, s = _product_andrews(r, n)
+            want = (a - s * Poly(0, 1, *[0] * (n - 1), 1)).shift(r * r - r)
+            assert t_term_diff(r, n) == want == t_term_poly(r, n, 1), (r, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 10), st.integers(1, 4)),
+                min_size=1, max_size=40))
+def test_t_term_poly_is_the_same_whatever_the_held_state(calls):
+    # calls repeat, step up, step back and interleave (n, j) keys; each
+    # answer must equal the product form whatever the stepper holds
+    for r, n, j in calls:
+        assert t_term_poly(r, n, j) == _product_t(r, n, j), (r, n, j)
+
+
+def test_t_term_poly_orders_that_reuse_the_held_term():
+    qfuncs._held.clear()
+    order = [(1, 12, 3), (1, 12, 3), (2, 12, 3), (4, 12, 3), (3, 12, 3), (2, 12, 3),
+             (3, 12, 3), (2, 11, 1), (4, 12, 3), (3, 11, 1), (5, 12, 3), (9, 12, 3)]
+    for r, n, j in order:
+        assert t_term_poly(r, n, j) == _product_t(r, n, j), (r, n, j)
+    # the held state stays bounded however many keys pass through it
+    for n in range(1, 60):
+        t_term_poly(1, n, 1)
+    assert len(qfuncs._held) <= qfuncs._HELD_CAP
+
+
+def test_stepped_terms_against_poly_free_oracle():
+    # an evaluation at random points modulo a 61-bit prime, built from
+    # pow() alone, so a fault in the list kernels that the stepper and the
+    # product form share cannot pass (Schwartz 1980)
+    rng = random.Random(20131)
+    points = [rng.randrange(2, (1 << 61) - 2) for _ in range(3)]
+    qfuncs._held.clear()
+    for n in range(1, 31):
+        for j in range(1, 5):
+            for r in range(1, min(n, (n + j) // 2) + 2):
+                c = t_term_poly(r, n, j).coeffs
+                for x in points:
+                    want = t_term_mod(r, n, j, x)
+                    if want is not None:
+                        assert eval_mod(c, x) == want, (r, n, j, x)
+    for n in range(1, 31):
+        for r in range(1, (n + 1) // 2 + 1):
+            c = t_term_diff(r, n).coeffs
+            for x in points:
+                want = t_term_mod(r, n, 1, x)
+                if want is not None:
+                    assert eval_mod(c, x) == want, (r, n, x)
+
+
+def test_poly_free_oracle_skips_vanishing_denominators():
+    p = 101
+    # x = 10 has order 4 modulo 101, so 1 - x^4 vanishes: T_1(4) has the
+    # denominator 1 - q^4
+    assert pow(10, 4, p) == 1
+    assert t_term_mod(1, 4, 1, 10, p) is None
+    assert t_term_mod(1, 3, 1, 10, p) == eval_mod(t_term_poly(1, 3, 1).coeffs, 10, p)
+    assert t_term_mod(3, 2, 1, 10, p) == 0
+
+
+@pytest.mark.parametrize("plant,exact", [
+    # one divisor off by one: a step division is no longer exact
+    (lambda nums, dens: (nums, (dens[0] - 1,) + dens[1:]), False),
+    # an extra factor 1 - q: every division stays exact, each stepped term
+    # is wrong, and only a comparison with a product form can tell
+    (lambda nums, dens: (nums + (1,), dens), True),
+])
+def test_planted_step_ratio_refutes_tj_poly_and_t_forms(monkeypatch, capsys, plant, exact):
+    real = qfuncs._step_exponents
+    monkeypatch.setattr(qfuncs, "_step_exponents", lambda r, n, j: plant(*real(r, n, j)))
+    monkeypatch.setattr(qfuncs, "_held", {})
+    for ident, bounds in (("tj-poly", ["--n", "1..8", "--j", "1..3"]),
+                          ("t-forms", ["--n", "1..8"])):
+        assert run(["verify", "--id", ident] + bounds + ["--format", "json", "--jobs", "1"]) == 1
+        d = json.loads(capsys.readouterr().out)
+        ce = d["counterexample"]
+        # only a stepped term (r >= 2) can carry the fault
+        assert d["status"] == "fail" and ce["cell"]["r"] == 2, d
+        assert (ce["left"] != "exception") == exact, ce
 
 
 def test_t_term_forms_are_one_polynomial():
