@@ -32,8 +32,8 @@ from itertools import starmap
 from multiprocessing import Pool
 from operator import add, ge
 
-from .errors import DomainError, InvariantViolation
-from .poly import Poly, _div_one_minus, _mul_one_minus, shape, unimodal_break_index
+from .errors import DivisionInexact, DomainError, InvariantViolation
+from .poly import Poly, q_ratio, shape, unimodal_break_index
 from .qfuncs import q_binomial, q_int, t_term_poly
 
 CASES = ("odd-n", "even-n")
@@ -154,8 +154,8 @@ def _sweep_column(case, n, m_max, j_max, skip):
     consequence counterexamples).
 
     Each m step advances the column binomial B = [m choose n-1]_q on its
-    coefficient list by one multiply by 1 - q^m and one exact divide by
-    1 - q^(m-n+1), then forms P = (1 + q^n) * B.  The reciprocity check
+    coefficient list by the ratio (1 - q^m) / (1 - q^(m-n+1)), one q_ratio
+    call, then forms P = (1 + q^n) * B.  The reciprocity check
     on P stands for every cell of the row, since [j]_q is a nonzero
     palindrome, and each cell's verdict is one self-comparison of P
     (_rises_to_centre; odd-n is j = 1).  Only a failing cell builds its
@@ -177,11 +177,12 @@ def _sweep_column(case, n, m_max, j_max, skip):
         if binom is None:
             binom = list(q_binomial(m, n - 1).coeffs)
         else:
-            binom = _div_one_minus(_mul_one_minus(binom, m), m - n + 1)
-            if binom is None:
+            try:
+                binom = q_ratio(binom, (m,), (m - n + 1,), "column")
+            except DivisionInexact:
                 raise InvariantViolation(
                     "column n=%d: 1 - q^%d does not divide at m=%d" % (n, m - n + 1, m)
-                )
+                ) from None
         todo = [j for j in jays if not _covered(skip, m, n, j)]
         if not todo:
             continue

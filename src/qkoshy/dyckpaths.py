@@ -218,9 +218,9 @@ def labeled_gen(
 
 def distribution(n: int) -> Poly:
     """Ordinary generating polynomial of the up-peak count over elevated
-    paths: coefficient of q^k is the number of paths with k up-peaks."""
-    _check_scale(n)
-    return Poly.from_counts(Counter(row[0] for row in _elevated_stats(n)))
+    paths: coefficient of q^k is the number of paths with k up-peaks.
+    It counts UUD in each path as it is generated, with no analyze."""
+    return Poly.from_counts(Counter(p.count("UUD") for p in iter_elevated(n)))
 
 
 @lru_cache(maxsize=None)

@@ -23,10 +23,9 @@ The factor 1 - q^a, which every Gaussian binomial, q-Catalan, q-ballot
 and T-term quotient is built from, has its own two kernels on
 coefficient lists: multiplying by it is one shifted subtract, and
 dividing by it is one prefix sum over each residue class modulo a.
-Poly.__mul__ and exact_div send that factor to them, so there is still
-one entry point for each operation.  Long division is left for the
-other divisors (the cyclotomic ones) and for finding the remainder of an
-inexact division.
+q_ratio runs every quotient of factors 1 - q^a by factors 1 - q^b on
+them, and Poly.__mul__ sends a factor 1 - q^a to the first.  exact_div
+is long division, left for the other divisors (the cyclotomic ones).
 """
 
 from __future__ import annotations
@@ -265,6 +264,27 @@ def _div_one_minus(c, a):
     return out[:top]
 
 
+def q_ratio(c, tops, bottoms, what):
+    """The coefficient list of c times the factors 1 - q^a, a in tops,
+    over the factors 1 - q^b, b in bottoms.
+
+    The multiplies come first, so every division is exact when the ratio
+    is a polynomial; one that is not raises DivisionInexact naming what
+    and b.  An exponent below 1 raises DomainError.
+    """
+    low = min(min(tops, default=1), min(bottoms, default=1))
+    if low < 1:
+        raise DomainError("q_ratio needs exponents >= 1, got %d" % low)
+    for a in tops:
+        c = _mul_one_minus(c, a)
+    for b in bottoms:
+        out = _div_one_minus(c, b)
+        if out is None:
+            raise DivisionInexact("%s: 1 - q^%d does not divide" % (what, b))
+        c = out
+    return c
+
+
 def _mul_sparse(a, b, na, nb):
     if na > nb:
         a, b = b, a
@@ -362,30 +382,20 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 
     The divisor's leading coefficient must be +1 or -1 (UnsupportedDivisor
     otherwise); a nonzero remainder raises DivisionInexact carrying it.
-    A divisor 1 - q^a goes to the prefix-sum kernel.  Long division serves
-    any other divisor (in this package, the cyclotomic ones) and finds the
-    remainder when 1 - q^a does not divide.
+    This is long division, whatever the divisor; in this package it
+    serves the cyclotomic ones, and every quotient by factors 1 - q^b
+    goes through q_ratio instead.
     """
     if not isinstance(a, Poly) or not isinstance(b, Poly):
         raise TypeError("exact_div expects Poly arguments")
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return Poly.zero()
     lead = b.coeffs[-1]
     if lead not in (1, -1):
         raise UnsupportedDivisor(
             "divisor leading coefficient must be a unit, got %d" % lead
         )
     da, db = a.degree, b.degree
-    if da < db:
-        raise DivisionInexact("degree of dividend below divisor", remainder=a)
-    bc = b.coeffs
-    if bc[0] == 1 and lead == -1 and bc.count(0) == db - 1:
-        out = _div_one_minus(a.coeffs, db)
-        if out is not None:
-            return Poly._raw(out)
-        # inexact: the long division below finds the remainder to report
     rem = list(a.coeffs)
     quot = [0] * (da - db + 1)
     body = [(j, c) for j, c in enumerate(b.coeffs[:-1]) if c]

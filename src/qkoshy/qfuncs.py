@@ -1,19 +1,20 @@
 """Classical q-analogues built on exact polynomials.
 
 Everything here returns a Poly (or a RationalForm where the object is
-genuinely a quotient).  Gaussian binomials are built by the product
-formula with interleaved exact divisions, which keeps every intermediate
-polynomial and costs O(k * deg).  Every quotient here (q-binomial,
-q-Catalan, q-ballot, T-term) has one shape: multiply by 1 - q^a, divide
-by 1 - q^b, which poly runs on its own list kernels; a division by
-[k]_q = (1 - q^k) / (1 - q) is written that way too.  Only the
-cyclotomic divisors go through long division.  A small LRU holds recent
-results.  The test suite cross-checks them coefficient for coefficient
-against an independent Pascal-recurrence construction.
+genuinely a quotient).  Every quotient here (q-binomial, q-Catalan,
+q-ballot, T-term) has one shape: factors 1 - q^a over factors 1 - q^b,
+and each one is a single poly.q_ratio call on coefficient lists; a
+division by [k]_q = (1 - q^k) / (1 - q) is written that way too.
+Gaussian binomials take one factor above and one below per step of the
+product formula, which keeps every intermediate polynomial and costs
+O(k * deg).  Only the cyclotomic divisors go through long division
+(exact_div).  A small LRU holds recent results.  The test suite
+cross-checks them coefficient for coefficient against an independent
+Pascal-recurrence construction.
 
 The alternating T-terms are stepped in r rather than built afresh: the
 ratio of consecutive terms is a product of three factors 1 - q^a over
-three factors 1 - q^b, so a step is six list-kernel calls and no dense
+three factors 1 - q^b, so a step is one q_ratio call and no dense
 product (t_step).  t_term_poly and the difference form t_term_diff hold
 the last term of each (n, j) and step from it when the next r is asked
 for; any other request builds its term directly.
@@ -27,7 +28,7 @@ from functools import lru_cache
 from operator import sub
 
 from .errors import DivisionInexact, DomainError
-from .poly import Poly, RationalForm, _div_one_minus, _mul_one_minus, exact_div
+from .poly import Poly, RationalForm, exact_div, q_ratio
 
 
 def q_int(n: int) -> Poly:
@@ -66,11 +67,12 @@ def q_binomial(m: int, k: int) -> Poly:
     if k < 0 or k > m:
         return Poly.zero()
     k = min(k, m - k)
-    out = Poly.one()
+    out = (1,)
+    what = "[%d choose %d]_q" % (m, k)
     for t in range(1, k + 1):
         # partial product stays the polynomial [m-k+t choose t]_q
-        out = exact_div(out * one_minus_q_to(m - k + t), one_minus_q_to(t))
-    return out
+        out = q_ratio(out, (m - k + t,), (t,), what)
+    return Poly._raw(out)
 
 
 def catalan(n: int) -> int:
@@ -83,7 +85,7 @@ def q_catalan(n: int) -> Poly:
     computed as (1 - q) [2n choose n]_q / (1 - q^(n+1))."""
     if n < 0:
         raise DomainError("q_catalan needs n >= 0")
-    return exact_div(q_binomial(2 * n, n) * one_minus_q_to(1), one_minus_q_to(n + 1))
+    return Poly._raw(q_ratio(q_binomial(2 * n, n).coeffs, (1,), (n + 1,), "C_%d(q)" % n))
 
 
 def narayana_number(n: int, k: int) -> int:
@@ -117,8 +119,8 @@ def q_ballot(j: int, n: int, method: str = "quotient") -> Poly:
     if j < 1 or n < 1:
         raise DomainError("q_ballot needs j >= 1 and n >= 1")
     if method == "quotient":
-        return exact_div(q_binomial(2 * n + j, n) * one_minus_q_to(j),
-                         one_minus_q_to(2 * n + j))
+        return Poly._raw(q_ratio(q_binomial(2 * n + j, n).coeffs, (j,), (2 * n + j,),
+                                 "B_%d(%d, q)" % (j, n)))
     if method == "difference":
         head = q_binomial(2 * n + j - 2, n)
         if n < 2:
@@ -214,14 +216,6 @@ _HELD_CAP = 16
 _held = {}
 
 
-def _div_exact(c, a, what):
-    """c / (1 - q^a) on coefficient lists; DivisionInexact if it does not divide."""
-    out = _div_one_minus(c, a)
-    if out is None:
-        raise DivisionInexact("%s: 1 - q^%d does not divide" % (what, a))
-    return out
-
-
 def _step_exponents(r, n, j):
     """The exponents of the factors 1 - q^a above and below the line in
     P_{r+1} / P_r, where P_r = [n choose r]_{q^2} [2n+j-1-2r choose n-1]_q."""
@@ -234,43 +228,35 @@ def t_step(c, r, n, j):
     X_r = f * P_r(n, j) with P_r = [n choose r]_{q^2} [2n+j-1-2r choose n-1]_q
     and any factor f free of r.
 
-    Multiplies by the three numerator factors 1 - q^a first, so each
-    partial quotient is X_{r+1} times the denominators not yet divided
-    out and every division is exact.  A numerator factor 1 - q^0 means
-    X_{r+1} vanishes (r = n, or n < 2(r+1) - j), and zero stays zero.
+    One q_ratio call: the three numerator factors 1 - q^a over the three
+    denominator factors 1 - q^b, so every division is exact.  A
+    numerator factor 1 - q^0 means X_{r+1} vanishes (r = n, or
+    n < 2(r+1) - j), and zero stays zero.
     """
     if not c:
         return []
     nums, dens = _step_exponents(r, n, j)
     if min(nums) <= 0:
         return []
-    for a in nums:
-        c = _mul_one_minus(c, a)
-    for b in dens:
-        c = _div_exact(c, b, "T-term step r=%d n=%d j=%d" % (r, n, j))
-    return c
+    return q_ratio(c, nums, dens, "T-term step r=%d n=%d j=%d" % (r, n, j))
 
 
 def _direct_term(r, n, j, quotient):
     """P_r(n, j), times (1 - q^j) / (1 - q^n) when quotient, without the
     neighbour r - 1.  At r = 1, [n choose 1]_{q^2} = (1 - q^(2n)) / (1 - q^2)
-    makes it one q_binomial and two kernel calls (four with the quotient);
-    a larger r takes a product of two q-binomials."""
+    makes it one q_binomial and one q_ratio over the factors (2n[, j]) and
+    (2[, n]); a larger r takes a product of two q-binomials."""
     if r > n or n < 2 * r - j:
         return []
     binom = q_binomial(2 * n + j - 1 - 2 * r, n - 1)
-    divisors = []
     if r == 1:
-        c = _mul_one_minus(binom.coeffs, 2 * n)
-        divisors.append(2)
+        c, tops, bottoms = binom.coeffs, [2 * n], [2]
     else:
-        c = (q_binomial_sq(n, r) * binom).coeffs
+        c, tops, bottoms = (q_binomial_sq(n, r) * binom).coeffs, [], []
     if quotient:
-        c = _mul_one_minus(c, j)
-        divisors.append(n)
-    for b in divisors:
-        c = _div_exact(c, b, "T-term r=%d n=%d j=%d" % (r, n, j))
-    return list(c)
+        tops.append(j)
+        bottoms.append(n)
+    return list(q_ratio(c, tops, bottoms, "T-term r=%d n=%d j=%d" % (r, n, j)))
 
 
 def _held_term(r, n, j, quotient):
@@ -296,9 +282,9 @@ def t_term_poly(r: int, n: int, j: int) -> Poly:
     q^(r^2-r) [n choose r]_{q^2} [2n+j-1-2r choose n-1]_q (1 - q^j) / (1 - q^n).
 
     Stepped from the held term r - 1 of the same (n, j) when there is one
-    (t_step: three multiplies and three exact divisions by 1 - q^a);
-    otherwise built directly, which at r = 1 is one q_binomial and four
-    kernel calls.  Zero when r > n or n < 2r-j, where a binomial vanishes.
+    (t_step: three factors 1 - q^a over three factors 1 - q^b);
+    otherwise built directly, which at r = 1 is one q_binomial and one
+    q_ratio call.  Zero when r > n or n < 2r-j, where a binomial vanishes.
     """
     if r < 1 or j < 1 or n < 1:
         raise DomainError("t_term needs r >= 1, j >= 1, n >= 1")

@@ -27,7 +27,8 @@ from . import dyckpaths as dp
 from . import partitions as pt
 from .conjecture import ordered_map
 from .errors import DivisionInexact, DomainError, QKoshyError, ScaleLimit, UnknownIdentity
-from .poly import Poly, RationalForm, exact_div, rational_equal, shape, unimodal_break_index
+from .poly import (Poly, RationalForm, exact_div, q_ratio, rational_equal, shape,
+                   unimodal_break_index)
 from .qfuncs import (
     ballot_number,
     catalan,
@@ -113,18 +114,20 @@ def _alternating(terms) -> Poly:
     return total
 
 
+def _koshy_term(n, m):
+    """C(n-m+1, m) C_{n-m}, the m-th term of Koshy's formula; 0 for m > n."""
+    return comb(n - m + 1, m) * catalan(n - m) if m <= n else 0
+
+
 # -- checkers ---------------------------------------------------------
 
 
 def _chk_koshy(n):
-    total = sum(
-        (-1) ** r * comb(n - r + 1, r) * catalan(n - r) for r in range(n + 1)
-    )
-    return _eq(total, 0)
+    return _eq(sum((-1) ** r * _koshy_term(n, r) for r in range(n + 1)), 0)
 
 
 def _chk_upeak_label(n, m):
-    want = comb(n - m + 1, m) * catalan(n - m) if n >= m else 0
+    want = _koshy_term(n, m)
     for sel in ("up-peaks", "colored-towers"):
         got = dp.labeled_gen(n, sel, m, "unit")
         if got != Poly(want):
@@ -134,8 +137,7 @@ def _chk_upeak_label(n, m):
 
 def _chk_upeak_gf(n):
     # sum over j of C(n-j+1, j) C_{n-j} (q-1)^j, with (q-1)^j = (-1)^j (1-q)^j
-    rhs = _in_one_minus_q([(-1) ** j * comb(n - j + 1, j) * catalan(n - j)
-                           for j in range(n + 1)])
+    rhs = _in_one_minus_q([(-1) ** j * _koshy_term(n, j) for j in range(n + 1)])
     return _eq(dp.distribution(n), rhs)
 
 
@@ -205,7 +207,7 @@ def _chk_lemma1(n, m):
             if dp.lemma1_inverse(img) != src:
                 return _fail(src, dp.lemma1_inverse(img), "round trip broke")
             seen[key] = src
-    want = comb(n - m + 1, m) * catalan(n - m) if n >= m else 0
+    want = _koshy_term(n, m)
     if len(seen) != len(target) or len(target) != want:
         return _fail(len(seen), want, "cardinality mismatch (target %d)" % len(target))
     return None
@@ -331,7 +333,7 @@ def _chk_cyclo_div(n, r):
             return _fail(binom, "divisible by Phi_%d" % x, "inexact division")
     try:
         # [2d]_q divides B exactly when 1 - q^(2d) divides (1 - q) B
-        exact_div(binom * one_minus_q_to(1), one_minus_q_to(2 * d))
+        q_ratio(binom.coeffs, (1,), (2 * d,), "cyclo-div")
     except DivisionInexact:
         return _fail(binom, "divisible by [%d]_q" % (2 * d), "inexact division")
     return None

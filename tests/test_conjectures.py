@@ -330,15 +330,28 @@ def test_column_stepped_wrong_is_an_error(monkeypatch):
     # a failing cell's polynomial comes from conjecture_poly, not from the
     # stepped column, so a wrong step that stays palindromic is caught by
     # the scan instead of being reported as a counterexample
-    real = cj._div_one_minus
+    real = cj.q_ratio
 
-    def stepped_wrong(c, a):
-        out = real(c, a)
+    def stepped_wrong(c, tops, bottoms, what):
+        out = real(c, tops, bottoms, what)
         return [1, 0, 0, 0, 1] if out == [1, 1, 2, 1, 1] else out  # [4 choose 2]_q
 
-    monkeypatch.setattr(cj, "_div_one_minus", stepped_wrong)
+    monkeypatch.setattr(cj, "q_ratio", stepped_wrong)
     with pytest.raises(InvariantViolation, match="m=4 n=3 j=None: criterion and scan disagree"):
         cj.sweep("odd-n", 4, 3)
+
+
+def test_column_step_that_does_not_divide_is_an_error(monkeypatch):
+    # a column step whose division is inexact means broken arithmetic: the
+    # sweep ends with InvariantViolation, naming the column, b and m
+    real = cj.q_ratio
+
+    def off_by_one(c, tops, bottoms, what):
+        return real(c, tops, (4,) if (tops, bottoms) == ((5,), (3,)) else bottoms, what)
+
+    monkeypatch.setattr(cj, "q_ratio", off_by_one)
+    with pytest.raises(InvariantViolation, match=r"^column n=3: 1 - q\^3 does not divide at m=5$"):
+        cj.sweep("odd-n", 6, 3)
 
 
 def test_counterexample_reporting_path(monkeypatch):

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import accumulate, combinations
 from math import comb
 
@@ -178,6 +179,18 @@ def test_distribution_consistency():
             acc[st.peaks] = acc.get(st.peaks, 0) + st.up_peaks
         want = Poly(*[acc.get(i, 0) for i in range(max(acc) + 1)]) if acc else Poly.zero()
         assert labeled_gen(n, "up-peaks", 1, weight="peak-weight-q") == want
+
+
+def test_distribution_is_the_up_peak_histogram():
+    # distribution counts UUD on each generated path; analyze is the
+    # independent count, and labeled_gen reads the same statistic
+    for n in range(0, 10):
+        d = distribution(n)
+        hist = Counter(analyze(p).up_peaks for p in iter_elevated(n))
+        assert d == Poly.from_counts(hist), n
+        for m in range(0, n + 2):
+            labeled = sum(comb(k, m) * c for k, c in enumerate(d.coeffs))
+            assert labeled == labeled_gen(n, "up-peaks", m)(1), (n, m)
 
 
 def test_ballot_weighted_gen():

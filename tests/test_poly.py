@@ -11,6 +11,7 @@ from qkoshy.poly import (
     Poly,
     RationalForm,
     exact_div,
+    q_ratio,
     rational_equal,
     shape,
     unimodal_break_index,
@@ -148,8 +149,9 @@ def test_div_one_minus_kernel_matches_long_division(c, a, exact):
     pa, pb = Poly(c), Poly(one_minus(a))
     if pa.is_zero():
         return
-    # exact_div raises the same DivisionInexact, with the same remainder,
-    # as the long division by q^a - 1, which never takes the kernel
+    # exact_div is long division whatever the divisor: by 1 - q^a and by
+    # q^a - 1 it gives the same DivisionInexact and remainder, and
+    # quotients of opposite sign, as the reference division does
     outcomes = []
     for divisor, sign in ((pb, 1), (-pb, -1)):
         try:
@@ -159,8 +161,47 @@ def test_div_one_minus_kernel_matches_long_division(c, a, exact):
     assert outcomes[0] == outcomes[1]
     if not any(rem):
         assert outcomes[0] == ("quotient", Poly(quot))
-    elif pa.degree >= a:
+    else:
         assert outcomes[0] == ("inexact division", Poly(rem))
+
+
+@given(coeff_lists, st.lists(st.integers(1, 12), max_size=4),
+       st.lists(st.integers(1, 12), max_size=4), st.booleans())
+def test_q_ratio_matches_products_and_long_division(c, tops, bottoms, exact):
+    # the reference multiplies by each 1 - q^a schoolbook-style, and
+    # divides by each 1 - q^b with long division; an exact case puts the
+    # bottoms into the dividend first, so every division goes through
+    if exact:
+        for b in bottoms:
+            c = poly._mul_one_minus(c, b)
+    want = poly._trim(c)
+    for a in tops:
+        if want:
+            want = poly._trim(poly._mul_sparse(want, one_minus(a), len(want) - want.count(0), 2))
+    failed = None
+    for b in bottoms:
+        quot, rem = ref_long_div(want, one_minus(b))
+        if any(rem):
+            failed = b
+            break
+        want = quot
+    try:
+        got = q_ratio(c, tops, bottoms, "ratio under test")
+    except DivisionInexact as exc:
+        assert failed is not None
+        assert str(exc) == "ratio under test: 1 - q^%d does not divide" % failed
+        return
+    assert failed is None and poly._trim(got) == want
+
+
+def test_q_ratio_rejects_exponents_below_one():
+    for tops, bottoms in (((0,), ()), ((), (0,)), ((2, -1), (1,)), ((1,), (3, 0))):
+        with pytest.raises(DomainError, match="exponents >= 1"):
+            q_ratio([1, 1], tops, bottoms, "bad exponent")
+    # (1 - q^3) / (1 - q) = 1 + q + q^2, and 1 + q is not a multiple of 1 - q^2
+    assert q_ratio([1], (3,), (1,), "[3]_q") == [1, 1, 1]
+    with pytest.raises(DivisionInexact, match=r"^1 \+ q: 1 - q\^2 does not divide$"):
+        q_ratio([1, 1], (), (2,), "1 + q")
 
 
 def test_div_one_minus_spots():
