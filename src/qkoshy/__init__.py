@@ -64,6 +64,7 @@ from .partitions import (
     involution_step,
     iter_pairs,
     lambda_side,
+    level_family,
     level_range,
     mu_side,
     nu_side,

@@ -11,6 +11,8 @@ immediately preceding element is a U-step (the elevating step included)
 or an uncolored tower, with that tower's color as this same pass gave
 it.  The rule has to be sequential: judging the preceding tower by the
 U-step rule alone miscounts the labeled paths already at n = 4, m = 1.
+labeled_gen reads the few distinct (up-peaks, colored towers, peaks) rows,
+each weighted by its path count; distribution counts UUD on each path.
 """
 
 from __future__ import annotations
@@ -178,13 +180,11 @@ def analyze(path: str) -> PathStats:
 
 @lru_cache(maxsize=16)
 def _elevated_stats(n: int):
-    """(up_peaks, colored_towers, peaks) per elevated path over inner
-    words with n U-steps.  Cached; bounded by the scale guard."""
-    out = []
-    for p in iter_elevated(n):
-        st = analyze(p)
-        out.append((st.up_peaks, sum(t.colored for t in st.towers), st.peaks))
-    return tuple(out)
+    """Each distinct (up_peaks, colored_towers, peaks) row of the elevated
+    paths over n inner U-steps, with its path count.  Cached."""
+    return tuple(Counter(
+        (st.up_peaks, sum(t.colored for t in st.towers), st.peaks)
+        for st in map(analyze, iter_elevated(n))).items())
 
 
 _SELECTOR_INDEX = {"up-peaks": 0, "colored-towers": 1}
@@ -207,8 +207,8 @@ def labeled_gen(
     _check_scale(n)
     idx = _SELECTOR_INDEX[selector]
     acc: dict[int, int] = {}
-    for row in _elevated_stats(n):
-        c = comb(row[idx], m)
+    for row, paths in _elevated_stats(n):
+        c = comb(row[idx], m) * paths
         if not c:
             continue
         k = row[2] if weight == "peak-weight-q" else 0

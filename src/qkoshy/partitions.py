@@ -4,9 +4,11 @@ Partitions are tuples of weakly decreasing positive parts.  The pair
 family at level r in context (n, j) consists of a strict partition mu
 with r parts obeying the staircase cap mu_i <= box - i + 1 and a
 partition nu with exactly n + j - 2r parts in [1, box], where box is
-n - 1 for j = 1 and n for j >= 2.  The involution moves the smallest
-repeated value of the multiset mu + mu + nu between the two components,
-changing the level by one and preserving 2|mu| + |nu|.
+n - 1 for j = 1 and n for j >= 2.  level_family is the one spelling of
+both families, which iter_pairs and the invT and iepar rows read.  The
+involution moves the smallest repeated value of the multiset mu + mu + nu
+between the two components, changing the level by one and preserving
+2|mu| + |nu|.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import comb
 from operator import ge, gt, neg
 
@@ -175,12 +178,20 @@ def level_range(n: int, j: int) -> range:
     return range(0, min(box, (n + j) // 2) + 1)
 
 
-def iter_pairs(n: int, j: int, r: int):
+def level_family(n: int, j: int, r: int):
+    """The level-r mu and nu families of context (n, j), as two lazy
+    enumerate_partitions iterators."""
     box = pair_box(n, j)
-    caps = [box - i for i in range(r)]
-    for mu in enumerate_partitions(box, exact_length=r, strict=True, cap_schedule=caps):
-        for nu in enumerate_partitions(box, exact_length=n + j - 2 * r):
-            yield PartitionPair(mu, nu, n, j)
+    return (enumerate_partitions(box, exact_length=r, strict=True,
+                                 cap_schedule=[box - i for i in range(r)]),
+            enumerate_partitions(box, exact_length=n + j - 2 * r))
+
+
+def iter_pairs(n: int, j: int, r: int):
+    """The level-r pairs, nu varying fastest; product lists the nu family
+    once and shares it among every mu."""
+    for mu, nu in product(*level_family(n, j, r)):
+        yield PartitionPair(mu, nu, n, j)
 
 
 # -- generating polynomials of the three partition families ----------

@@ -328,12 +328,12 @@ def _layout(bound):
     leaves bound.bit_length() below its top bit.
 
     A digit of up to 8 bytes is one word of 1, 2, 4 or 8 bytes.  A wider
-    digit is k words of 4 bytes.  Rounding it up to 8-byte words makes
-    the big-int product larger, and 2-byte words double the passes that
-    split and join the words: over the 242 products of perfbench's sweep
-    workload, whose digits reach 12 bytes, 4-byte words took 0.33 s,
-    8-byte words 0.43 s and 2-byte words 0.39 s (medians of 5 runs, 2
-    vCPUs, Python 3.11.7).
+    digit is k words of 4 bytes, which 8-byte words (a larger big-int
+    product) and 2-byte words (twice the passes over the words) do not
+    beat: over the 1164 products of `qkoshy all` whose digits take 9 to
+    17 bytes, the three took 2.09 s, 2.16 s and 2.36 s, within the runs'
+    interquartile ranges of 0.44-0.59 s (medians of 9 interleaved runs,
+    2 vCPUs, Python 3.11.7).  No perfbench workload has such a product.
     """
     width = bound.bit_length() // 8 + 1
     if width > 8:

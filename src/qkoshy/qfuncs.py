@@ -324,7 +324,7 @@ def t_term(r: int, n: int, j: int = 1) -> TTermForms:
     if j != 1:
         return TTermForms(r=r, n=n, j=j, tr21=t_term_poly(r, n, j), general_j=general)
 
-    # j = 1: the difference form is already a polynomial
+    # j = 1: the difference form is already a polynomial; gen_t is general_j
     tr21 = t_term_diff(r, n)
     andrews = RationalForm(
         lead
@@ -332,10 +332,6 @@ def t_term(r: int, n: int, j: int = 1) -> TTermForms:
         * q_binomial(n - r + 1, r)
         * q_catalan(n - r),
         q_pochhammer("-", 1, r),
-    )
-    gen_t = RationalForm(
-        lead * q_binomial_sq(n, r) * q_binomial(2 * n - 2 * r, n - 1),
-        q_int(n),
     )
     gen_t2 = None
     parts = [lead * q_binomial_sq(n - 1, r - 1) * q_binomial(2 * n - 2 * r + 1, n)]
@@ -365,7 +361,7 @@ def t_term(r: int, n: int, j: int = 1) -> TTermForms:
         tr21=tr21,
         general_j=general,
         andrews_rational=andrews,
-        gen_t=gen_t,
+        gen_t=general,
         gen_t2=gen_t2,
         tr22_parts=tuple(parts),
     )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qkoshy import dyckpaths as dp
 from qkoshy import registry
 from qkoshy.cli import run
 from qkoshy.errors import DomainError, QKoshyError, ScaleLimit, UnknownIdentity
@@ -223,6 +224,46 @@ def test_negative_coefficient_is_reported(monkeypatch, identity, bounds, cell, l
     rep = registry.verify(identity, bounds=bounds)
     assert rep.status == "fail"
     assert rep.counterexample == {"cell": cell, "left": left, "right": right, "diff": diff}
+
+
+def _merged_images(forward):
+    """forward, except that every source of a cell maps to its first
+    source's image."""
+    first = {}
+
+    def planted(lp):
+        return first.setdefault((len(lp.path), len(lp.s_labels), len(lp.w_labels)),
+                                forward(lp))
+
+    return planted
+
+
+@pytest.mark.parametrize("identity,name,plant,cell,diff", [
+    ("lemma1", "lemma1_forward", _merged_images, {"n": 2, "m": 1},
+     "two sources map to ('UUDD', (1,))"),
+    ("lemma1", "lemma1_forward",
+     lambda f: lambda lp: dp.LabeledPath(f(lp).path, "usteps", ()), {"n": 1, "m": 1},
+     "image outside the labeled U-step family"),
+    ("lemma1", "lemma1_inverse", lambda f: lambda lp: dp.LabeledPath("UD", "towers", ()),
+     {"n": 1, "m": 1}, "round trip broke"),
+    ("lemma2", "lemma2_forward", _merged_images, {"n": 3, "m": 1, "r": 1},
+     "two sources map to the same image"),
+    ("lemma2", "lemma2_forward",
+     lambda f: lambda lp: dp.LabeledPath(f(lp).path, "towers", f(lp).s_labels),
+     {"n": 2, "m": 1, "r": 1}, "image outside the labeled tower family"),
+    ("lemma2", "lemma2_inverse", lambda f: lambda lp: dp.LabeledPath("UD", "towers", ()),
+     {"n": 2, "m": 1, "r": 1}, "round trip broke"),
+], ids=["lemma1-merged", "lemma1-outside", "lemma1-round-trip",
+        "lemma2-merged", "lemma2-outside", "lemma2-round-trip"])
+def test_broken_bijection_is_a_counterexample(monkeypatch, capsys, identity, name, plant,
+                                              cell, diff):
+    monkeypatch.setattr(dp, name, plant(getattr(dp, name)))
+    assert run(["verify", "--id", identity, "--n", "1..4", "--format", "json",
+                "--jobs", "1"]) == 1
+    d = json.loads(capsys.readouterr().out)
+    assert d["status"] == "fail"
+    assert d["counterexample"]["cell"] == cell
+    assert d["counterexample"]["diff"] == diff
 
 
 def test_checker_exception_becomes_failure(monkeypatch):
