@@ -18,16 +18,18 @@ nonnegative for odd n >= 2r + 1 (checked up to n = 60, in each column
 that has grid cells).
 
 Both sweeps and registry.verify fan out through ordered_map, the one
-process pool of the package.
+process pool of the package.  The pool is closed and joined before it is
+left, never terminated with work in flight, so an early close waits for
+the few chunks still running.
 """
 
 import errno
 import json
 import os
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from itertools import starmap
 from multiprocessing import Pool
 from operator import add, ge
@@ -111,8 +113,8 @@ def _cell_record(params: dict, p: Poly, index: int) -> dict:
     return {"params": params, "poly": str(p), "break_index": index}
 
 
-def _apply(fn, args):
-    return fn(*args)
+def _apply_chunk(fn, chunk):
+    return list(starmap(fn, chunk))
 
 
 def ordered_map(fn, tasks, jobs=1, chunksize=1):
@@ -120,14 +122,28 @@ def ordered_map(fn, tasks, jobs=1, chunksize=1):
 
     With jobs <= 1 or at most one task this is a plain map in this
     process; otherwise the tasks go to a pool of jobs worker processes in
-    chunks of chunksize.  Closing the generator early (a break in the
-    caller, under contextlib.closing) terminates the pool.
+    chunks of chunksize, with at most 2 * jobs chunks in flight.  However
+    the generator ends (exhausted, a task's error, or closed early by a
+    break in the caller, under contextlib.closing), the pool is closed and
+    joined, not terminated: the chunks in flight run out and every worker
+    exits on its own.  A worker killed while it writes a result would
+    leave the result queue's lock held and the pool's shutdown stuck.
     """
     if jobs <= 1 or len(tasks) <= 1:
         yield from starmap(fn, tasks)
         return
     with Pool(jobs) as pool:
-        yield from pool.imap(partial(_apply, fn), tasks, chunksize)
+        pending = deque()
+        try:
+            for i in range(0, len(tasks), chunksize):
+                pending.append(pool.apply_async(_apply_chunk, (fn, tasks[i:i + chunksize])))
+                if len(pending) == 2 * jobs:
+                    yield from pending.popleft().get()
+            while pending:
+                yield from pending.popleft().get()
+        finally:
+            pool.close()
+            pool.join()
 
 
 def _rises_to_centre(p, j):

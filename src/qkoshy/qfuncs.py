@@ -151,16 +151,10 @@ def q_lucas_check(m: int, k: int, d: int) -> bool:
         raise DomainError("q_lucas_check needs 0 <= k <= m")
     a, b = divmod(m, d)
     r, s = divmod(k, d)
-    lhs = q_binomial(m, k)
-    rhs = q_binomial(b, s) * math.comb(a, r)
-    diff = lhs - rhs
+    c = (q_binomial(m, k) - q_binomial(b, s) * math.comb(a, r)).coeffs
     # fold exponents modulo q^d - 1 first (a multiple of the modulus),
     # so the division only sees degree < d
-    if diff.degree >= d:
-        folded = [0] * d
-        for i, c in enumerate(diff.coeffs):
-            folded[i % d] += c
-        diff = Poly(*folded)
+    diff = Poly([sum(c[i::d]) for i in range(d)])
     try:
         exact_div(diff, cyclotomic(d))
     except DivisionInexact:
@@ -173,32 +167,27 @@ def q_lucas_check(m: int, k: int, d: int) -> bool:
 
 @dataclass(frozen=True)
 class TTermForms:
-    """All published forms of the r-th alternating term, kept unreduced.
+    """All published forms of the r-th alternating term at j = 1, kept
+    unreduced.
 
-    tr21 is the exact polynomial value.  The rational fields are None when
-    the corresponding form is not defined for the given (n, j); gen_t2
-    also needs n >= 2.  tr22_parts holds the two- or three-summand split
-    (j = 1 only): two summands when 2r-1 <= n <= 2r, three when n >= 2r+1.
+    tr21 is the exact polynomial value, in difference form.  gen_t2 needs
+    n >= 2 and is None at n = 1.  tr22_parts holds the split into
+    summands: three when n >= 2r+1, else two (one at n = 1).
     """
 
     r: int
     n: int
-    j: int
     tr21: Poly
     general_j: RationalForm
-    andrews_rational: RationalForm | None = None
-    gen_t: RationalForm | None = None
-    gen_t2: RationalForm | None = None
-    tr22_parts: tuple[Poly, ...] | None = None
+    andrews_rational: RationalForm
+    gen_t2: RationalForm | None
+    tr22_parts: tuple[Poly, ...]
 
     def rational_forms(self):
-        """Populated forms, each as a (name, RationalForm) pair."""
-        out = [("tr21", RationalForm(self.tr21, Poly.one())),
-               ("general_j", self.general_j)]
-        for name in ("andrews_rational", "gen_t", "gen_t2"):
-            form = getattr(self, name)
-            if form is not None:
-                out.append((name, form))
+        """The quotient forms, each as a (name, RationalForm) pair."""
+        out = [("general_j", self.general_j), ("andrews_rational", self.andrews_rational)]
+        if self.gen_t2 is not None:
+            out.append(("gen_t2", self.gen_t2))
         return out
 
 
@@ -307,61 +296,27 @@ def t_term_diff(r: int, n: int) -> Poly:
     return Poly._raw(t).shift(r * r - r)
 
 
-def t_term(r: int, n: int, j: int = 1) -> TTermForms:
+def t_term(r: int, n: int) -> TTermForms:
     """Construct every published form of the r-th term of the alternating
-    q-Catalan / q-ballot expansion.  Terms with n < 2r-j are zero and
-    carry only the polynomial and unreduced-quotient fields."""
-    if r < 1 or j < 1 or n < 1:
-        raise DomainError("t_term needs r >= 1, j >= 1, n >= 1")
-    if n < 2 * r - j:
-        zero = RationalForm(Poly.zero(), q_int(n))
-        return TTermForms(r=r, n=n, j=j, tr21=Poly.zero(), general_j=zero)
-    lead = Poly.monomial(r * r - r)
+    q-Catalan expansion (j = 1), for r >= 1 and n >= 2r-1."""
+    if r < 1 or n < 2 * r - 1:
+        raise DomainError("t_term needs r >= 1 and n >= 2r-1")
+    lead = r * r - r
     general = RationalForm(
-        lead * q_binomial_sq(n, r) * q_binomial(2 * n + j - 1 - 2 * r, n - 1) * q_int(j),
-        q_int(n),
-    )
-    if j != 1:
-        return TTermForms(r=r, n=n, j=j, tr21=t_term_poly(r, n, j), general_j=general)
-
-    # j = 1: the difference form is already a polynomial; gen_t is general_j
-    tr21 = t_term_diff(r, n)
+        (q_binomial_sq(n, r) * q_binomial(2 * n - 2 * r, n - 1)).shift(lead), q_int(n))
     andrews = RationalForm(
-        lead
-        * q_pochhammer("-", n - r + 1, r)
-        * q_binomial(n - r + 1, r)
-        * q_catalan(n - r),
+        (q_pochhammer("-", n - r + 1, r) * q_binomial(n - r + 1, r) * q_catalan(n - r))
+        .shift(lead),
         q_pochhammer("-", 1, r),
     )
     gen_t2 = None
-    parts = [lead * q_binomial_sq(n - 1, r - 1) * q_binomial(2 * n - 2 * r + 1, n)]
+    parts = [(q_binomial_sq(n - 1, r - 1) * q_binomial(2 * n - 2 * r + 1, n)).shift(lead)]
     if n >= 2:
-        gen_t2 = RationalForm(
-            lead
-            * q_binomial_sq(n - 1, r)
-            * (Poly.one() + Poly.monomial(n))
-            * q_binomial(2 * n - 2 * r - 1, n - 2),
-            q_int(n - 1),
-        )
-        parts.append(
-            -(lead * q_binomial_sq(n - 1, r) * q_binomial(2 * n - 2 * r - 1, n - 2).shift(1))
-        )
-    else:
-        parts.append(Poly.zero())
+        low = q_binomial_sq(n - 1, r) * q_binomial(2 * n - 2 * r - 1, n - 2)
+        gen_t2 = RationalForm((low + low.shift(n)).shift(lead), q_int(n - 1))
+        parts.append(-low.shift(lead + 1))
     if n >= 2 * r + 1:
         parts.append(
-            Poly.monomial(r * r + r)
-            * q_binomial_sq(n - 1, r)
-            * q_binomial(2 * n - 2 * r - 1, n)
-        )
-    return TTermForms(
-        r=r,
-        n=n,
-        j=1,
-        tr21=tr21,
-        general_j=general,
-        andrews_rational=andrews,
-        gen_t=general,
-        gen_t2=gen_t2,
-        tr22_parts=tuple(parts),
-    )
+            (q_binomial_sq(n - 1, r) * q_binomial(2 * n - 2 * r - 1, n)).shift(r * r + r))
+    return TTermForms(r=r, n=n, tr21=t_term_diff(r, n), general_j=general,
+                      andrews_rational=andrews, gen_t2=gen_t2, tr22_parts=tuple(parts))

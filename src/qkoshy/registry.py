@@ -261,33 +261,19 @@ def _chk_andrews(n):
 
 
 def _chk_t_forms(n, r):
-    forms = t_term(r, n, 1)
-    direct = t_term_poly(r, n, 1)
-    res = _eq(direct, forms.tr21)
+    forms = t_term(r, n)
+    res = _eq(t_term_poly(r, n, 1), forms.tr21)
     if res:
         return res
     base = RationalForm(forms.tr21, Poly.one())
-    # the first form is base itself, and at j = 1 gen_t is general_j
-    for name, rat in forms.rational_forms()[1:]:
-        if name == "gen_t" and rat is forms.general_j:
-            continue
+    for name, rat in forms.rational_forms():
         if not rational_equal(base, rat):
             return _fail("tr21 %s" % forms.tr21, "%s %s / %s" % (name, rat.num, rat.den),
                          "form %s deviates" % name)
-    if forms.tr22_parts is not None:
-        total = Poly.zero()
-        for part in forms.tr22_parts:
-            total = total + part
-        res = _eq(total, forms.tr21)
-        if res:
-            return res
-    if r == 1:
-        lhs = q_binomial(2 * n - 1, n)
-        rhs = q_catalan(n) + q_binomial(2 * n - 1, n - 2).shift(1)
-        res = _eq(lhs, rhs)
-        if res:
-            return res
-    return None
+    res = _eq(sum(forms.tr22_parts, Poly.zero()), forms.tr21)
+    if res or r > 1:
+        return res
+    return _eq(q_binomial(2 * n - 1, n), q_catalan(n) + q_binomial(2 * n - 1, n - 2).shift(1))
 
 
 def _fail_negative(p: Poly, right):

@@ -318,6 +318,26 @@ def test_jobs_determinism(monkeypatch):
     assert a["counterexamples"][1]["break_index"] == 1
 
 
+def test_early_close_lets_every_worker_exit(monkeypatch):
+    # a worker terminated while it writes a result can leave the result
+    # queue locked and the pool's shutdown stuck; an early close must
+    # close and join the pool, so each worker exits on its own with 0
+    pools = []
+    real = cj.Pool
+
+    def recording(*args, **kwargs):
+        pool = real(*args, **kwargs)
+        pools.append(pool)
+        return pool
+
+    monkeypatch.setattr(cj, "Pool", recording)
+    results = cj.ordered_map(pow, [(2, k) for k in range(40)], jobs=2)
+    assert next(results) == 1
+    workers = list(pools[0]._pool)
+    results.close()
+    assert [w.exitcode for w in workers] == [0, 0]
+
+
 def test_verdict_the_scan_does_not_confirm_is_an_error(monkeypatch):
     # a failing verdict whose polynomial has no break means broken
     # arithmetic, never a counterexample

@@ -395,18 +395,41 @@ def test_planted_step_ratio_refutes_tj_poly_and_t_forms(monkeypatch, capsys, pla
 
 
 def test_t_term_forms_are_one_polynomial():
-    for n in range(2, 8):
+    for n in range(1, 8):
         for r in range(1, (n + 1) // 2 + 1):
             forms = t_term(r, n)
             assert forms.tr21 == t_term_poly(r, n, 1)
             ref = RationalForm(forms.tr21, Poly.one())
             for name, form in forms.rational_forms():
                 assert rational_equal(form, ref), (n, r, name)
-            if forms.tr22_parts is not None:
-                total = Poly.zero()
-                for part in forms.tr22_parts:
-                    total = total + part
-                assert total == forms.tr21, (n, r)
+            assert sum(forms.tr22_parts, Poly.zero()) == forms.tr21, (n, r)
+
+
+@pytest.mark.parametrize("r, n", [(0, 3), (-1, 3), (2, 2), (3, 4), (1, 0)])
+def test_t_term_outside_its_domain_is_an_error(r, n):
+    # the forms are built for r >= 1 and n >= 2r - 1 only
+    with pytest.raises(DomainError):
+        t_term(r, n)
+
+
+def test_planted_pochhammer_refutes_andrews_rational(monkeypatch, capsys):
+    # q_pochhammer enters only the andrews_rational form; a planted top
+    # coefficient changes the quotient from n = 2 on (at n = 1 the same
+    # planted factor 1 - q stands above and below the line)
+    real = q_pochhammer
+
+    def planted(sign, a, r):
+        p = real(sign, a, r)
+        return p + Poly.monomial(p.degree + 1)
+
+    monkeypatch.setattr(qfuncs, "q_pochhammer", planted)
+    assert run(["verify", "--id", "t-forms", "--n", "1..6", "--format", "json",
+                "--jobs", "1"]) == 1
+    d = json.loads(capsys.readouterr().out)
+    ce = d["counterexample"]
+    assert d["status"] == "fail", d
+    assert ce["cell"] == {"n": 2, "r": 1}, ce
+    assert ce["diff"] == "form andrews_rational deviates", ce
 
 
 def test_q_lucas_spots():
