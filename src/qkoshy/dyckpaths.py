@@ -11,15 +11,21 @@ immediately preceding element is a U-step (the elevating step included)
 or an uncolored tower, with that tower's color as this same pass gave
 it.  The rule has to be sequential: judging the preceding tower by the
 U-step rule alone miscounts the labeled paths already at n = 4, m = 1.
-labeled_gen reads the few distinct (up-peaks, colored towers, peaks) rows,
-each weighted by its path count; distribution counts UUD on each path.
+
+The lemma1 and lemma2 rows read colored_towers(n), one table per n of
+each elevated path with its colored towers, because their cells walk the
+same few paths (626 with n <= 7) many times over.  labeled_gen and
+distribution stream instead: their rows reach n = 12, whose 208,012
+paths would be too many to hold.  labeled_gen reads the few distinct
+(up-peaks, colored towers, peaks) rows, each weighted by its path count;
+distribution counts UUD on each path.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -116,19 +122,21 @@ def iter_ballot_paths(n: int, j: int):
 
 def major_index(word: str) -> int:
     """Sum of 1-based positions i with step i = D and step i+1 = U."""
-    return sum(i + 1 for i in range(len(word) - 1) if word[i] == "D" and word[i + 1] == "U")
+    total = 0
+    i = word.find("DU")
+    while i >= 0:
+        total += i + 1
+        i = word.find("DU", i + 2)       # DU cannot overlap itself
+    return total
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(namedtuple("Tower", "start height colored")):
     """Maximal pyramid factor U^h D^h of the inner path.
 
     start is the inner-path index of its first U-step.
     """
 
-    start: int
-    height: int
-    colored: bool
+    __slots__ = ()
 
     @property
     def end(self) -> int:
@@ -144,16 +152,18 @@ def decompose_towers(inner: str):
     last min(a, b) U's and the first min(a, b) D's.
     """
     towers = []
+    end = colored = None             # of the previous tower
     for run in _PEAK_RUN.finditer(inner):
         h = min(len(run[1]), len(run[2]))
         s = run.end(1) - h
         if s == 0 or inner[s - 1] == "U":
             c = True                 # follows a U-step, maybe the elevating one
-        elif towers and towers[-1].end == s - 1:
-            c = not towers[-1].colored
+        elif end == s - 1:
+            c = not colored
         else:
             c = False
         towers.append(Tower(s, h, c))
+        end, colored = s + 2 * h - 1, c
     return tuple(towers)
 
 
@@ -176,6 +186,16 @@ def analyze(path: str) -> PathStats:
     if len(path) > 2 and not any(t.colored for t in towers):
         raise InvariantViolation("elevated path %r has no colored tower" % path)
     return PathStats(peaks=path.count("UD"), up_peaks=path.count("UUD"), towers=towers)
+
+
+@lru_cache(maxsize=11)
+def colored_towers(n: int):
+    """(path, its colored towers) for each elevated path over n inner
+    U-steps, in iter_elevated order.  Built by analyze, so a path with no
+    colored tower still raises.  Cached, one table per n up to the lemma
+    rows' cap of 10."""
+    return tuple((p, tuple(t for t in analyze(p).towers if t.colored))
+                 for p in iter_elevated(n))
 
 
 @lru_cache(maxsize=16)

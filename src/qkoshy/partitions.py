@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -93,12 +92,12 @@ def conjugate(parts) -> tuple:
 
 
 def successive_ranks(parts) -> tuple:
-    """lambda_i minus conjugate_i along the Durfee square diagonal."""
-    conj = conjugate(parts)
+    """lambda_i minus conjugate_i along the Durfee square diagonal.  Only
+    the first d conjugate parts are counted, d being the square's side."""
     d = 0
     while d < len(parts) and parts[d] > d:
         d += 1
-    return tuple(parts[i] - conj[i] for i in range(d))
+    return tuple(parts[i] - sum(1 for p in parts if p > i) for i in range(d))
 
 
 def render_partition(parts) -> str:
@@ -109,20 +108,19 @@ def pair_box(n: int, j: int) -> int:
     return n - 1 if j == 1 else n
 
 
-@dataclass(frozen=True)
 class PartitionPair:
-    """Level-r object of the involution family in context (n, j)."""
+    """Level-r object of the involution family in context (n, j).
 
-    mu: tuple
-    nu: tuple
-    n: int
-    j: int
+    Immutable, and compared and hashed by value.  A __slots__ class, not a
+    frozen dataclass, since the involution builds one per step.
+    """
 
-    def __post_init__(self):
-        if self.n < 1 or self.j < 1:
+    __slots__ = ("mu", "nu", "n", "j")
+
+    def __init__(self, mu: tuple, nu: tuple, n: int, j: int):
+        if n < 1 or j < 1:
             raise InvariantViolation("need n >= 1 and j >= 1")
-        box = pair_box(self.n, self.j)
-        mu, nu = self.mu, self.nu
+        box = pair_box(n, j)
         r = len(mu)
         # A strictly decreasing mu is positive when its last part is, and
         # its parts meet their caps box - i when its first part does, since
@@ -132,11 +130,38 @@ class PartitionPair:
             raise InvariantViolation("mu must be strictly decreasing and positive")
         if mu and mu[0] > box:
             raise InvariantViolation("mu part %d at position 1 exceeds cap %d" % (mu[0], box))
-        want = self.n + self.j - 2 * r
+        want = n + j - 2 * r
         if len(nu) != want:
             raise InvariantViolation("nu needs exactly %d parts, got %d" % (want, len(nu)))
         if not all(map(ge, nu, nu[1:])) or (nu and (nu[-1] < 1 or nu[0] > box)):
             raise InvariantViolation("nu parts must weakly decrease within [1, %d]" % box)
+        _set_mu(self, mu)
+        _set_nu(self, nu)
+        _set_n(self, n)
+        _set_j(self, j)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PartitionPair is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("PartitionPair is immutable")
+
+    def _key(self):
+        return self.mu, self.nu, self.n, self.j
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "PartitionPair(mu=%r, nu=%r, n=%r, j=%r)" % self._key()
+
+    def __reduce__(self):
+        return PartitionPair, self._key()
 
     @property
     def r(self) -> int:
@@ -148,6 +173,11 @@ class PartitionPair:
 
     def render(self) -> str:
         return "(%s, %s)" % (render_partition(self.mu), render_partition(self.nu))
+
+
+# the slot descriptors write past PartitionPair's own __setattr__
+_set_mu, _set_nu, _set_n, _set_j = (getattr(PartitionPair, k).__set__
+                                    for k in PartitionPair.__slots__)
 
 
 def involution_step(pair: PartitionPair) -> PartitionPair:

@@ -195,8 +195,7 @@ def _tower_labelled(n, m, r, min_height):
     """(path, s-labels, w-labels) over the elevated paths with n inner
     U-steps: m colored towers carry s-labels, and r of those whose height
     is at least min_height carry w-labels too.  Labels are tower starts."""
-    for p in dp.iter_elevated(n):
-        towers = [t for t in dp.analyze(p).towers if t.colored]
+    for p, towers in dp.colored_towers(n):
         tall = {t.start for t in towers if t.height >= min_height}
         for chosen in combinations([t.start for t in towers], m):
             for w in combinations([s for s in chosen if s in tall], r):
@@ -240,6 +239,11 @@ def _chk_lemma2(n, m, r):
         seen.add(key)
     if len(seen) != len(target):
         return _fail(len(seen), len(target), "cardinality mismatch")
+    # both families come from one tower table, so a fault shared by both
+    # keeps the bijection; Lemma 1's count fixes the target's size
+    want = comb(m, r) * _koshy_term(n - r, m)
+    if len(target) != want:
+        return _fail(len(target), want, "target family size")
     return None
 
 

@@ -1,5 +1,7 @@
 """Reference constructions that only the tests use."""
 
+import re
+from dataclasses import dataclass
 from functools import lru_cache
 
 from qkoshy.dyckpaths import peak_dist
@@ -64,3 +66,53 @@ def t_term_mod(r, n, j, x, p=P61):
     bottoms = [2 * i for i in range(1, r + 1)] + list(range(1, n)) + [n]
     value = _ratio_mod(tops, bottoms, x, p)
     return None if value is None else value * pow(x, r * r - r, p) % p
+
+
+# -- straightforward versions of the path and partition kernels ----------
+
+
+@dataclass(frozen=True)
+class Tower:
+    """A tower as a frozen dataclass: start, height, color, and end."""
+
+    start: int
+    height: int
+    colored: bool
+
+    @property
+    def end(self):
+        return self.start + 2 * self.height - 1
+
+
+def decompose_towers(inner):
+    """Towers of an inner Dyck word, each colored by reading the tower
+    built before it: colored after a U-step, else the opposite of an
+    adjacent previous tower, else uncolored."""
+    towers = []
+    for run in re.finditer("(U+)(D+)", inner):
+        h = min(len(run[1]), len(run[2]))
+        s = run.end(1) - h
+        if s == 0 or inner[s - 1] == "U":
+            c = True
+        elif towers and towers[-1].end == s - 1:
+            c = not towers[-1].colored
+        else:
+            c = False
+        towers.append(Tower(s, h, c))
+    return tuple(towers)
+
+
+def major_index(word):
+    """Sum of 1-based positions i with step i = D and step i+1 = U, by
+    looking at every position."""
+    return sum(i + 1 for i in range(len(word) - 1) if word[i] == "D" and word[i + 1] == "U")
+
+
+def successive_ranks(parts):
+    """lambda_i minus conjugate_i along the Durfee square diagonal, from
+    the whole conjugate partition."""
+    conj = tuple(sum(1 for p in parts if p > i) for i in range(parts[0])) if parts else ()
+    d = 0
+    while d < len(parts) and parts[d] > d:
+        d += 1
+    return tuple(parts[i] - conj[i] for i in range(d))

@@ -266,6 +266,42 @@ def test_broken_bijection_is_a_counterexample(monkeypatch, capsys, identity, nam
     assert d["counterexample"]["diff"] == diff
 
 
+def _miscolored_table(colored):
+    """dp.colored_towers, except that in the first path with a tower of
+    the given color that tower takes the other color."""
+    real = dp.colored_towers
+
+    def planted(n):
+        rows = list(real(n))
+        for i, (p, _) in enumerate(rows):
+            towers = dp.decompose_towers(p[1:-1])
+            wrong = next((t for t in towers if t.colored == colored), None)
+            if wrong is not None:
+                towers = [t._replace(colored=not colored) if t is wrong else t
+                          for t in towers]
+                rows[i] = (p, tuple(t for t in towers if t.colored))
+                break
+        return tuple(rows)
+
+    return planted
+
+
+@pytest.mark.parametrize("colored,cell,diff", [
+    # the first path at each n loses its one tower, in the sources and in
+    # the target alike, so only the target's size gives it away
+    (True, {"n": 2, "m": 1, "r": 1}, "target family size"),
+    (False, {"n": 3, "m": 1, "r": 1}, "cardinality mismatch"),
+], ids=["drops-colored", "adds-uncolored"])
+def test_miscolored_tower_table_fails_lemma2(monkeypatch, capsys, colored, cell, diff):
+    monkeypatch.setattr(dp, "colored_towers", _miscolored_table(colored))
+    assert run(["verify", "--id", "lemma2", "--n", "1..5", "--format", "json",
+                "--jobs", "1"]) == 1
+    d = json.loads(capsys.readouterr().out)
+    assert d["status"] == "fail"
+    assert d["counterexample"]["cell"] == cell
+    assert d["counterexample"]["diff"] == diff
+
+
 def test_checker_exception_becomes_failure(monkeypatch):
     orig = registry.CHECKS["koshy"]
 

@@ -1,6 +1,8 @@
 from collections import Counter
 from math import comb
 
+import pickle
+
 import pytest
 
 from qkoshy.errors import InvariantViolation, NoRepeatedPart, ScaleLimit
@@ -22,6 +24,8 @@ from qkoshy.partitions import (
 )
 from qkoshy.poly import Poly
 from qkoshy.qfuncs import q_ballot
+
+import oracles
 
 
 def test_enumeration_counts():
@@ -68,6 +72,13 @@ def test_basic_statistics():
     assert successive_ranks((3, 3, 1)) == (0, 1)
     assert successive_ranks(()) == ()
     assert successive_ranks((1,)) == (0,)
+
+
+def test_successive_ranks_against_full_conjugate():
+    parts = list(enumerate_partitions(9, max_length=7))
+    assert len(parts) == comb(16, 7)
+    for lam in parts:
+        assert successive_ranks(lam) == oracles.successive_ranks(lam), lam
     assert repetition_statistic((2, 2, 1)) == 1
     assert repetition_statistic((3, 2, 1)) == 0
     assert repetition_statistic((2, 2, 1, 1)) == 2
@@ -93,6 +104,24 @@ def test_pair_validation():
         PartitionPair((1, 1), (1,), 4, 1)  # mu not strict
     with pytest.raises(InvariantViolation):
         PartitionPair((), (1, 1), 2, 1)  # nu has wrong length for r = 0
+
+
+def test_pair_is_an_immutable_value():
+    pair = PartitionPair((2,), (2, 1), 3, 1)
+    same = PartitionPair((2,), (2, 1), 3, 1)
+    assert pair == same and hash(pair) == hash(same) and pair is not same
+    assert pair != PartitionPair((1,), (2, 1), 3, 1)
+    assert pair != ((2,), (2, 1), 3, 1)
+    assert len({pair, same}) == 1
+    assert repr(pair) == "PartitionPair(mu=(2,), nu=(2, 1), n=3, j=1)"
+    assert pickle.loads(pickle.dumps(pair)) == pair
+    with pytest.raises(AttributeError):
+        pair.mu = (1,)
+    with pytest.raises(AttributeError):
+        pair.extra = 1
+    with pytest.raises(AttributeError):
+        del pair.nu
+    assert pair.mu == (2,) and pair.nu == (2, 1)
 
 
 @pytest.mark.parametrize("mu, nu, n, j, message", [

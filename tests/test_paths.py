@@ -8,6 +8,7 @@ from qkoshy.dyckpaths import (
     LabeledPath,
     Tower,
     analyze,
+    colored_towers,
     decompose_towers,
     distribution,
     is_dyck,
@@ -27,6 +28,7 @@ from qkoshy.errors import DomainError, InvariantViolation, MalformedLabel, Scale
 from qkoshy.poly import Poly
 from qkoshy.qfuncs import ballot_number, catalan, q_ballot, q_catalan
 
+import oracles
 from oracles import ballot_weighted_gen
 
 
@@ -305,6 +307,53 @@ def test_tower_decomposition_spec():
                 assert h >= 1 and inner[t.start:t.end + 1] == "U" * h + "D" * h, (inner, t)
                 grows = inner[t.start - 1:t.start] == "U" and inner[t.end + 1:t.end + 2] == "D"
                 assert not grows, (inner, t)
+
+
+def _fields(towers):
+    return [(t.start, t.height, t.colored, t.end) for t in towers]
+
+
+def test_tower_decomposition_against_oracle():
+    for n in range(10):
+        for inner in iter_dyck(n):
+            towers = decompose_towers(inner)
+            assert all(isinstance(t, Tower) and isinstance(t, tuple) for t in towers)
+            assert _fields(towers) == _fields(oracles.decompose_towers(inner)), inner
+    assert Tower(0, 2, True) == (0, 2, True)
+    assert Tower(0, 2, True)._replace(colored=False).end == 3
+
+
+def test_major_index_against_oracle():
+    for n in range(10):
+        for p in iter_dyck(n):
+            assert major_index(p) == oracles.major_index(p), p
+    for n in range(7):
+        for j in range(1, 5):
+            for p in iter_ballot_paths(n, j):
+                assert major_index(p) == oracles.major_index(p), p
+
+
+def test_colored_tower_table_against_oracle():
+    for n in range(9):
+        table = colored_towers(n)
+        assert [p for p, _ in table] == list(iter_elevated(n))
+        for p, towers in table:
+            want = [t for t in oracles.decompose_towers(p[1:-1]) if t.colored]
+            assert _fields(towers) == _fields(want), p
+        assert colored_towers(n) is table        # one table per n
+
+
+def test_colored_tower_table_keeps_the_invariant(monkeypatch):
+    def uncolored(inner):
+        return tuple(t._replace(colored=False) for t in decompose_towers(inner))
+
+    monkeypatch.setattr("qkoshy.dyckpaths.decompose_towers", uncolored)
+    colored_towers.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation):
+            colored_towers(3)
+    finally:
+        colored_towers.cache_clear()
 
 
 def test_ballot_paths_content_and_order():
