@@ -388,6 +388,10 @@ def run(argv=None) -> int:
     except (_UsageError, QKoshyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (OverflowError, RecursionError, MemoryError) as exc:
+        # an argument too large for a list to index, hold or recurse to
+        print("error: argument too large: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
+        return 2
 
 
 def main():

@@ -11,13 +11,14 @@ substitution: one path for every sign, which packs each operand once
 into a big integer of balanced digits (offset by half the digit base
 when a coefficient is negative, as in Harvey's multipoint Kronecker
 substitution) so that one CPython big-int product does the work.  A
-digit is a whole number of machine words: one word of 1, 2, 4 or 8
-bytes, or k words of 4 bytes when it needs more than 8.  The operands
-go in, and the product comes out, as standard-library arrays of those
-words converted to and from bytes in one call each, so no Python code
-runs per coefficient.  Both paths produce bit-identical results; the
-test suite checks that on random inputs, at the digit-width and
-sign-bit boundaries, and on each side of every word layout.
+digit takes exactly as many bytes as the product's coefficients need,
+plus the spare top bit.  Coefficients go in, and come out, through
+standard-library arrays of one word type, unsigned 8 bytes, one 8-byte
+slice of every digit at a time: the slice's bytes are copied to and
+from the packed integer's bytes by strided slices, so no Python code
+runs per coefficient.  Both paths produce bit-identical results; the test suite
+checks that on random inputs, at the digit-width and sign-bit
+boundaries, and on each side of every digit width up to 28 bytes.
 
 The factor 1 - q^a, which every Gaussian binomial, q-Catalan, q-ballot
 and T-term quotient is built from, has its own two kernels on
@@ -41,9 +42,10 @@ from .errors import DivisionInexact, DomainError, UnsupportedDivisor
 # Below this many nonzero terms on one side, schoolbook beats packing.
 _SPARSE_CUTOFF = 16
 
-# An unsigned array typecode for each word size in bytes, chosen by the
-# sizes this platform gives them ('L' is 4 bytes on some, 8 on others).
-_WORD = {array(code).itemsize: code for code in "BHILQ"}
+# Kronecker digits are packed and unpacked through arrays of unsigned
+# 8-byte words, one 8-byte slice of every digit at a time.
+_WORD = "Q"
+_WORD_MASK = (1 << 64) - 1
 
 # Array words are in native byte order; packed integers are little-endian.
 _SWAP = sys.byteorder == "big"
@@ -305,10 +307,9 @@ def _mul_sparse(a, b, na, nb):
 def _mul_kronecker(a, b):
     """Product of two nonzero coefficient tuples by one big-int multiply.
 
-    Each operand is packed once, one coefficient per digit, into an
-    array of machine words whose bytes are read as one integer; the
-    product's bytes are read back into words.  The digit (see _layout)
-    keeps a spare top bit above every product coefficient, so signed
+    Each operand is packed once, one coefficient per digit of width
+    bytes, into one integer.  The width is the fewest whole bytes that
+    leave a spare top bit above every product coefficient, so signed
     operands are packed in balanced digits: each digit is offset by half
     the base, the offsets come back out as one repeated-digit integer,
     and the product is unpacked the same way.  Nonnegative operands need
@@ -316,29 +317,10 @@ def _mul_kronecker(a, b):
     """
     amin, bmin = min(a), min(b)
     bound = min(len(a), len(b)) * max(max(a), -amin) * max(max(b), -bmin)
-    size, k = _layout(bound)
-    half = 1 << (8 * size * k - 1) if min(amin, bmin) < 0 else 0
-    count = len(a) + len(b) - 1
-    return _unpack(_pack(a, size, k, half) * _pack(b, size, k, half),
-                   size, k, count, half)
-
-
-def _layout(bound):
-    """(word size in bytes, words per digit) of the narrowest digit that
-    leaves bound.bit_length() below its top bit.
-
-    A digit of up to 8 bytes is one word of 1, 2, 4 or 8 bytes.  A wider
-    digit is k words of 4 bytes, which 8-byte words (a larger big-int
-    product) and 2-byte words (twice the passes over the words) do not
-    beat: over the 1164 products of `qkoshy all` whose digits take 9 to
-    17 bytes, the three took 2.09 s, 2.16 s and 2.36 s, within the runs'
-    interquartile ranges of 0.44-0.59 s (medians of 9 interleaved runs,
-    2 vCPUs, Python 3.11.7).  No perfbench workload has such a product.
-    """
     width = bound.bit_length() // 8 + 1
-    if width > 8:
-        return 4, -(-width // 4)
-    return 1 << (width - 1).bit_length(), 1
+    half = 1 << (8 * width - 1) if min(amin, bmin) < 0 else 0
+    count = len(a) + len(b) - 1
+    return _unpack(_pack(a, width, half) * _pack(b, width, half), width, count, half)
 
 
 def _offsets(half, width, count):
@@ -346,34 +328,35 @@ def _offsets(half, width, count):
     return int.from_bytes(half.to_bytes(width, "little") * count, "little")
 
 
-def _pack(coeffs, size, k, half):
-    code = _WORD[size]
-    digits = map(add, coeffs, repeat(half)) if half else coeffs
-    if k == 1:
-        words = array(code, digits)
-    else:
-        digits = list(digits)
-        mask = (1 << 8 * size) - 1
-        words = array(code, bytes(size * k * len(digits)))
-        for w in range(k):
-            words[w::k] = array(code, map(and_, map(rshift, digits, repeat(8 * size * w)),
-                                          repeat(mask)))
-    if _SWAP:
-        words.byteswap()
-    value = int.from_bytes(words.tobytes(), "little")
-    return value - _offsets(half, size * k, len(coeffs)) if half else value
+def _pack(coeffs, width, half):
+    digits = list(map(add, coeffs, repeat(half))) if half else coeffs
+    buf = bytearray(width * len(coeffs))
+    for t in range(0, width, 8):
+        # bytes t .. t + 7 of every digit, as one word per digit
+        part = map(rshift, digits, repeat(8 * t)) if t else digits
+        words = array(_WORD, part if width - t <= 8 else map(and_, part, repeat(_WORD_MASK)))
+        if _SWAP:
+            words.byteswap()
+        raw = words.tobytes()
+        for p in range(min(8, width - t)):
+            buf[t + p::width] = raw[p::8]
+    value = int.from_bytes(buf, "little")
+    return value - _offsets(half, width, len(coeffs)) if half else value
 
 
-def _unpack(value, size, k, count, half):
+def _unpack(value, width, count, half):
     if half:
-        value += _offsets(half, size * k, count)
-    words = array(_WORD[size])
-    words.frombytes(value.to_bytes(size * k * count, "little"))
-    if _SWAP:
-        words.byteswap()
-    digits = words[::k].tolist()
-    for w in range(1, k):
-        digits = list(map(add, digits, map(lshift, words[w::k], repeat(8 * size * w))))
+        value += _offsets(half, width, count)
+    buf = value.to_bytes(width * count, "little")
+    for t in range(0, width, 8):
+        raw = bytearray(8 * count)
+        for p in range(min(8, width - t)):
+            raw[p::8] = buf[t + p::width]
+        words = array(_WORD)
+        words.frombytes(raw)
+        if _SWAP:
+            words.byteswap()
+        digits = list(map(add, digits, map(lshift, words, repeat(8 * t)))) if t else words.tolist()
     return list(map(sub, digits, repeat(half))) if half else digits
 
 

@@ -83,6 +83,28 @@ def test_usage_errors_exit_2(capsys):
         assert len(err.strip().splitlines()) == 1, (argv, err)
 
 
+# above 2^63, so no list index or C size can hold it and nothing gets
+# allocated on the way to the error
+HUGE = str(10 ** 20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", "tterm", "1", "1", HUGE],
+    ["show", "qbinom", HUGE, "1"],
+    # a list of 2^62 entries is refused by its size, before any allocation
+    ["show", "qbinom", str(2 ** 62), "1"],
+    ["show", "qballot", HUGE, "1"],
+    ["verify", "--id", "koshy", "--n", "1.." + HUGE, "--force"],
+    ["enum", "dyck", HUGE, "--force"],
+])
+def test_huge_integer_arguments_exit_2(capsys, argv):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: argument too large: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_verify_single_json_object(capsys):
     assert run(["verify", "--id", "koshy", "--n", "1..20", "--format", "json"]) == 0
     d = json.loads(capsys.readouterr().out)

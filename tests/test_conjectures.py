@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -188,7 +189,7 @@ def test_report_dict_shape():
 def test_frontier_extension(tmp_path):
     fp = str(tmp_path / "frontier.json")
     first = cj.sweep("odd-n", 9, 9, frontier_path=fp)
-    data = json.load(open(fp))
+    data = json.loads(Path(fp).read_text())
     assert data == {
         "case": "odd-n",
         "verified": {"m_max": 9, "n_max": 9, "j_max": 10},
@@ -199,11 +200,11 @@ def test_frontier_extension(tmp_path):
     assert again.status == "pass"  # covered by the frontier, not empty
     bigger = cj.sweep("odd-n", 13, 13, frontier_path=fp)
     assert bigger.verified_cells == odd_cells(13, 13) - odd_cells(9, 9)
-    assert json.load(open(fp))["verified"]["m_max"] == 13
+    assert json.loads(Path(fp).read_text())["verified"]["m_max"] == 13
     # shrinking rerun keeps the larger recorded box
     small = cj.sweep("odd-n", 3, 3, frontier_path=fp)
     assert small.frontier["verified"] == {"m_max": 13, "n_max": 13, "j_max": 10}
-    assert json.load(open(fp))["verified"]["n_max"] == 13
+    assert json.loads(Path(fp).read_text())["verified"]["n_max"] == 13
 
 
 def test_frontier_case_clash(tmp_path):
@@ -231,7 +232,7 @@ def test_frontier_malformed(tmp_path):
             fh.write(text)
         with pytest.raises(DomainError):
             cj.sweep("odd-n", 3, 3, frontier_path=fp)
-        assert open(fp).read() == text    # a rejected file is left as it was
+        assert Path(fp).read_text() == text    # a rejected file is left as it was
     with open(fp, "wb") as fh:
         fh.write(b"\xff\xfe not utf-8")
     with pytest.raises(DomainError):
@@ -257,7 +258,7 @@ def test_frontier_is_synced_before_it_replaces_the_old_file(monkeypatch, tmp_pat
     monkeypatch.setattr(cj.os, "replace", replace)
     cj.sweep("odd-n", 3, 3, frontier_path=fp)
     assert calls == [("fsync", os.stat(fp).st_ino), ("replace", fp)]
-    assert json.load(open(fp))["verified"]["m_max"] == 3
+    assert json.loads(Path(fp).read_text())["verified"]["m_max"] == 3
 
 
 def _payloads(case, *grid):
@@ -415,13 +416,13 @@ def test_counterexamples_persist_and_merge(monkeypatch, tmp_path):
     monkeypatch.setattr(cj, "_rises_to_centre", _failing_at(cj.conjecture_poly("odd-n", 5, 3)))
     fp = str(tmp_path / "frontier.json")
     cj.sweep("odd-n", 6, 6, frontier_path=fp)
-    data = json.load(open(fp))
+    data = json.loads(Path(fp).read_text())
     assert len(data["counterexamples"]) == 1
     # a later extension keeps the recorded counterexample without re-adding
     monkeypatch.setattr(cj, "unimodal_break_index", real)
     monkeypatch.setattr(cj, "_rises_to_centre", real_verdict)
     rep = cj.sweep("odd-n", 8, 8, frontier_path=fp)
-    data = json.load(open(fp))
+    data = json.loads(Path(fp).read_text())
     assert len(data["counterexamples"]) == 1
     assert rep.frontier["counterexamples"][0]["params"] == {"m": 5, "n": 3}
 

@@ -1,4 +1,5 @@
 import array
+import itertools
 import random
 
 import pytest
@@ -242,21 +243,24 @@ def test_mul_kronecker_at_digit_boundaries(k):
             assert poly._trim(got) == tuple(ref_convolve(a, b)), (sign_a, sign_b, la, lb)
 
 
-# Each digit is 8 * size * k bits: one word of 1, 2, 4 or 8 bytes, then
-# k words of 4 bytes.  A bound of bit length D - 1 still fits a D-bit
-# digit; one of bit length D takes the next layout.
-DIGIT_BITS = [8, 16, 32, 64, 96, 128, 160, 192, 224]
-
-
-@pytest.mark.parametrize("bits", DIGIT_BITS[:-1])
+# Every digit is w = bound.bit_length() // 8 + 1 bytes.  For each w up
+# to 28, with bits = 8w, a bound of bit length bits - 1 still gets a
+# w-byte digit, and one of bit length bits gets w + 1 bytes.
+@pytest.mark.parametrize("bits", range(8, 8 * 28 + 1, 8))
 @pytest.mark.parametrize("side", ["below", "above"])
-def test_mul_kronecker_word_layouts(bits, side):
+def test_mul_kronecker_word_layouts(bits, side, monkeypatch):
     rng = random.Random(bits * 2 + (side == "above"))
-    want_bits = bits if side == "below" else DIGIT_BITS[DIGIT_BITS.index(bits) + 1]
+    widths = []
+    real_pack = poly._pack
+
+    def pack(coeffs, width, half):
+        widths.append(width)
+        return real_pack(coeffs, width, half)
+
+    monkeypatch.setattr(poly, "_pack", pack)
+    want_bits = bits if side == "below" else bits + 8
     signs = {"nonnegative": [1], "negative": [-1], "mixed": [1, -1]}
-    for sign_a, sign_b in [("nonnegative", "nonnegative"), ("negative", "negative"),
-                           ("negative", "nonnegative"), ("mixed", "mixed"),
-                           ("nonnegative", "mixed")]:
+    for sign_a, sign_b in itertools.product(signs, repeat=2):
         for la, lb in [(1, 1), (1, 9), (3, 40), (17, 17), (40, 33), (40, 40)]:
             m = min(la, lb)
             top_a = rng.randint(1, (1 << (bits - 2)) // m)
@@ -267,16 +271,28 @@ def test_mul_kronecker_word_layouts(bits, side):
                 top_b = -(-(1 << (bits - 1)) // (m * top_a))
             bound = m * top_a * top_b
             assert bound.bit_length() == (bits - 1 if side == "below" else bits)
-            size, k = poly._layout(bound)
-            assert bound.bit_length() < 8 * size * k == want_bits
-            assert size in (1, 2, 4, 8) and (k == 1 or size == 4)
             # every operand reaches its largest magnitude at least once
             a = [top_a * rng.choice(signs[sign_a]) for _ in range(la)]
             b = [top_b * rng.choice(signs[sign_b]) for _ in range(lb)]
             a[0], b[-1] = top_a * signs[sign_a][-1], top_b * signs[sign_b][-1]
+            del widths[:]
             got = poly._mul_kronecker(tuple(a), tuple(b))
+            assert widths == [want_bits // 8] * 2
             assert len(got) == la + lb - 1
             assert poly._trim(got) == tuple(ref_convolve(a, b)), (sign_a, sign_b, la, lb)
+
+
+@given(st.integers(0, 400), st.integers(1, 60), st.integers(1, 60), st.data())
+@settings(max_examples=80, deadline=None)
+def test_mul_kronecker_against_schoolbook(bits, la, lb, data):
+    coeffs = st.integers(1 - (1 << bits), (1 << bits) - 1)
+    a = data.draw(st.lists(coeffs, min_size=la, max_size=la))
+    b = data.draw(st.lists(coeffs, min_size=lb, max_size=lb))
+    if not any(a) or not any(b):
+        return
+    got = poly._mul_kronecker(tuple(a), tuple(b))
+    assert len(got) == la + lb - 1
+    assert poly._trim(got) == tuple(ref_convolve(a, b))
 
 
 class BigEndianWords(array.array):
