@@ -6,24 +6,31 @@ are always computed on the string as given, while towers live on the
 inner part.  Tower records use inner-path indices; U-step labels use
 whole-path indices, so the elevating first U-step is addressable as 0.
 
-Coloring runs in one left-to-right pass.  A tower is colored when its
-immediately preceding element is a U-step (the elevating step included)
-or an uncolored tower, with that tower's color as this same pass gave
-it.  The rule has to be sequential: judging the preceding tower by the
-U-step rule alone miscounts the labeled paths already at n = 4, m = 1.
+Every path iterator reads _lattice_words.  It walks the prefixes with an
+explicit stack, so no word is too long for Python's recursion limit, and
+takes the last 12 steps or fewer from cached tuples of short tails.
+
+Coloring runs in one left-to-right pass, _tower_runs.  A tower is colored
+when its immediately preceding element is a U-step (the elevating step
+included) or an uncolored tower, with that tower's color as this same
+pass gave it.  The rule has to be sequential: judging the preceding tower
+by the U-step rule alone miscounts the labeled paths already at n = 4,
+m = 1.
 
 The lemma1 and lemma2 rows read colored_towers(n), one table per n of
 each elevated path with its colored towers, because their cells walk the
 same few paths (626 with n <= 7) many times over.  labeled_gen and
 distribution stream instead: their rows reach n = 12, whose 208,012
 paths would be too many to hold.  labeled_gen reads the few distinct
-(up-peaks, colored towers, peaks) rows, each weighted by its path count;
-distribution counts UUD on each path.
+(up-peaks, colored towers, peaks) rows, each weighted by its path count,
+which one _tower_runs scan per inner word counts; distribution counts UUD
+on each path.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from dataclasses import dataclass
@@ -61,25 +68,53 @@ def is_elevated(word: str) -> bool:
     return len(word) >= 2 and word[0] == "U" and word[-1] == "D" and is_dyck(word[1:-1])
 
 
+_TAIL = 12
+
+
+@lru_cache(maxsize=None)
+def _tails(ups: int, downs: int, h: int):
+    """Every word with the given numbers of U- and D-steps that starts h
+    steps above the floor and never drops below it, in lexicographic
+    order (U < D).  Cached.  _lattice_words asks only for words of at most
+    _TAIL steps that end on the floor, so h is downs - ups and the cache
+    holds at most 49 tuples, 1,912 words in all."""
+    if not ups and not downs:
+        return ("",)
+    out = ()
+    if ups:
+        out += tuple("U" + w for w in _tails(ups - 1, downs, h + 1))
+    if downs and h:
+        out += tuple("D" + w for w in _tails(ups, downs - 1, h - 1))
+    return out
+
+
 def _lattice_words(ups: int, downs: int, floor: int):
     """Words with the given numbers of U- and D-steps whose height never
-    drops below floor, in lexicographic order (U < D)."""
+    drops below floor, in lexicographic order (U < D).
+
+    The prefixes are walked with an explicit stack, D pushed before U so
+    that U pops first, over one shared list of steps; once at most _TAIL
+    steps remain, the suffixes come from _tails.
+    """
+    if ups + downs > sys.maxsize:
+        raise OverflowError("a word of %d steps is too long for a str" % (ups + downs))
     word = []
-
-    def rec(ups, downs, h):
-        if ups == 0 and downs == 0:
-            yield "".join(word)
-            return
-        if ups:
-            word.append("U")
-            yield from rec(ups - 1, downs, h + 1)
-            word.pop()
-        if downs and h > floor:
-            word.append("D")
-            yield from rec(ups, downs - 1, h - 1)
-            word.pop()
-
-    return rec(ups, downs, 0)
+    # (prefix length before the step, the step, then U- and D-steps left
+    # and the height above the floor); the root's step is empty
+    stack = [(0, "", ups, downs, -floor)]
+    while stack:
+        k, step, u, d, h = stack.pop()
+        del word[k:]
+        word.append(step)
+        if u + d <= _TAIL:
+            prefix = "".join(word)
+            for tail in _tails(u, d, h):
+                yield prefix + tail
+            continue
+        if d and h:
+            stack.append((k + 1, "D", u, d - 1, h - 1))
+        if u:
+            stack.append((k + 1, "U", u - 1, d, h + 1))
 
 
 def iter_dyck(n: int, force: bool = False):
@@ -143,15 +178,15 @@ class Tower(namedtuple("Tower", "start height colored")):
         return self.start + 2 * self.height - 1
 
 
-def decompose_towers(inner: str):
-    """Tower decomposition of an inner Dyck word, with the elevating
-    U-step of the surrounding elevated path counted as a predecessor.
+def _tower_runs(inner: str):
+    """(start, height, colored) of each tower of an inner Dyck word, left
+    to right, with the elevating U-step of the surrounding elevated path
+    counted as a predecessor.  The coloring rule is written only here.
 
     At every boundary between a U-run of length a and a D-run of length
     b the unique maximal pyramid has height min(a, b) and occupies the
     last min(a, b) U's and the first min(a, b) D's.
     """
-    towers = []
     end = colored = None             # of the previous tower
     for run in _PEAK_RUN.finditer(inner):
         h = min(len(run[1]), len(run[2]))
@@ -162,9 +197,13 @@ def decompose_towers(inner: str):
             c = not colored
         else:
             c = False
-        towers.append(Tower(s, h, c))
+        yield s, h, c
         end, colored = s + 2 * h - 1, c
-    return tuple(towers)
+
+
+def decompose_towers(inner: str):
+    """Tower decomposition of an inner Dyck word, as Towers."""
+    return tuple(map(Tower._make, _tower_runs(inner)))
 
 
 @dataclass(frozen=True)
@@ -192,8 +231,9 @@ def analyze(path: str) -> PathStats:
 def colored_towers(n: int):
     """(path, its colored towers) for each elevated path over n inner
     U-steps, in iter_elevated order.  Built by analyze, so a path with no
-    colored tower still raises.  Cached, one table per n up to the lemma
-    rows' cap of 10."""
+    colored tower still raises; these tables make the only analyze calls
+    of the registry rows.  Cached, one table per n up to the lemma rows'
+    cap of 10."""
     return tuple((p, tuple(t for t in analyze(p).towers if t.colored))
                  for p in iter_elevated(n))
 
@@ -201,10 +241,23 @@ def colored_towers(n: int):
 @lru_cache(maxsize=16)
 def _elevated_stats(n: int):
     """Each distinct (up_peaks, colored_towers, peaks) row of the elevated
-    paths over n inner U-steps, with its path count.  Cached."""
-    return tuple(Counter(
-        (st.up_peaks, sum(t.colored for t in st.towers), st.peaks)
-        for st in map(analyze, iter_elevated(n))).items())
+    paths over n inner U-steps, with its path count.  Cached.
+
+    One scan of each inner word's towers counts its colored towers and its
+    peaks, one per tower; the bare path UD has one peak and no tower.  The
+    elevating U-step makes one more up-peak when the inner word starts
+    with UD.
+    """
+    rows = Counter()
+    for inner in iter_dyck(n):
+        colored = peaks = 0
+        for _, _, c in _tower_runs(inner):
+            colored += c
+            peaks += 1
+        if n and not colored:
+            raise InvariantViolation("elevated path %r has no colored tower" % ("U" + inner + "D"))
+        rows[inner.count("UUD") + inner.startswith("UD"), colored, peaks or 1] += 1
+    return tuple(rows.items())
 
 
 _SELECTOR_INDEX = {"up-peaks": 0, "colored-towers": 1}

@@ -13,7 +13,7 @@ between the two components, changing the level by one and preserving
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -285,6 +285,18 @@ def lambda_side(n: int, j: int) -> Poly:
     return nu_side(n, j, 0)
 
 
+def _ranks_below(lam, top) -> bool:
+    """Whether every successive rank of lam is below top, stopping at the
+    first that is not.  A bisect on the descending parts counts the parts
+    above i, which is the i-th conjugate part."""
+    for i, part in enumerate(lam):
+        if part <= i:                    # past the Durfee square
+            return True
+        if part - bisect_left(lam, -i, key=neg) >= top:
+            return False
+    return True
+
+
 def rank_family_gen(n: int, j: int) -> Poly:
     """Sum of q^|lambda| over partitions with largest part at most
     n+j-2, at most n parts, and every successive rank below j-1."""
@@ -292,4 +304,4 @@ def rank_family_gen(n: int, j: int) -> Poly:
         raise DomainError("need n >= 0 and j >= 1")
     return Poly.from_counts(Counter(
         sum(lam) for lam in enumerate_partitions(n + j - 2, max_length=n)
-        if all(rk < j - 1 for rk in successive_ranks(lam))))
+        if _ranks_below(lam, j - 1)))

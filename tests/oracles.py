@@ -102,6 +102,28 @@ def decompose_towers(inner):
     return tuple(towers)
 
 
+def lattice_words(ups, downs, floor):
+    """Words with the given numbers of U- and D-steps whose height never
+    drops below floor, in lexicographic order (U < D), by one recursive
+    generator frame per step."""
+    word = []
+
+    def rec(ups, downs, h):
+        if ups == 0 and downs == 0:
+            yield "".join(word)
+            return
+        if ups:
+            word.append("U")
+            yield from rec(ups - 1, downs, h + 1)
+            word.pop()
+        if downs and h > floor:
+            word.append("D")
+            yield from rec(ups, downs - 1, h - 1)
+            word.pop()
+
+    return rec(ups, downs, 0)
+
+
 def major_index(word):
     """Sum of 1-based positions i with step i = D and step i+1 = U, by
     looking at every position."""

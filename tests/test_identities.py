@@ -302,6 +302,49 @@ def test_miscolored_tower_table_fails_lemma2(monkeypatch, capsys, colored, cell,
     assert d["counterexample"]["diff"] == diff
 
 
+@pytest.fixture
+def fresh_stats():
+    dp._elevated_stats.cache_clear()
+    yield
+    dp._elevated_stats.cache_clear()
+
+
+def _recolored_scan(inner_word, color):
+    """dp._tower_runs, except that every tower of the one inner word takes
+    the given color."""
+    real = dp._tower_runs
+
+    def planted(inner):
+        for s, h, c in real(inner):
+            yield s, h, color if inner == inner_word else c
+
+    return planted
+
+
+# One path's colored count goes off by one.  U UUDDUD D gains a colored
+# tower (1 -> 2 of its 2): the unit and peak-weighted label sums see it.
+# U UUUDDD D loses its only one (1 -> 0): that breaks the invariant.
+# tower-ie sees only the second, since each path adds
+# sum_m (-1)^(m+1) C(c, m) = 1 to it for every c from 1 to n.
+@pytest.mark.parametrize("identity,inner,color,cell,left", [
+    ("upeak-label", "UUDDUD", True, {"n": 3, "m": 1}, "colored-towers: 7"),
+    ("tower-closed", "UUDDUD", True, {"n": 3, "m": 1}, "q + 4*q^2 + 2*q^3"),
+    ("upeak-label", "UUUDDD", False, {"n": 3, "m": 0}, "exception"),
+    ("tower-ie", "UUUDDD", False, {"n": 3}, "exception"),
+], ids=["upeak-label-gains", "tower-closed-gains", "upeak-label-loses", "tower-ie-loses"])
+def test_miscounted_colored_tower_fails(monkeypatch, capsys, fresh_stats, identity, inner,
+                                        color, cell, left):
+    monkeypatch.setattr(dp, "_tower_runs", _recolored_scan(inner, color))
+    assert run(["verify", "--id", identity, "--n", "1..4", "--format", "json",
+                "--jobs", "1"]) == 1
+    d = json.loads(capsys.readouterr().out)
+    assert d["status"] == "fail"
+    assert d["counterexample"]["cell"] == cell
+    assert d["counterexample"]["left"] == left
+    if left == "exception":
+        assert d["counterexample"]["diff"].startswith("InvariantViolation(")
+
+
 def test_checker_exception_becomes_failure(monkeypatch):
     orig = registry.CHECKS["koshy"]
 

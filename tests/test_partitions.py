@@ -241,3 +241,14 @@ def test_rank_family_membership():
         if all(rk < j - 1 for rk in successive_ranks(lam))
     )
     assert count == total
+
+
+def test_rank_family_against_oracle_filter():
+    # rank_family_gen stops at the first rank that is too large and counts
+    # conjugate parts by bisect; the oracle builds the whole conjugate
+    for n in range(1, 9):
+        for j in range(1, 7):
+            want = Poly.from_counts(Counter(
+                sum(lam) for lam in enumerate_partitions(n + j - 2, max_length=n)
+                if all(rk < j - 1 for rk in oracles.successive_ranks(lam))))
+            assert rank_family_gen(n, j) == want, (n, j)

@@ -1,9 +1,12 @@
+import sys
+import time
 from collections import Counter
 from itertools import accumulate, combinations
 from math import comb
 
 import pytest
 
+import qkoshy.dyckpaths as dp
 from qkoshy.dyckpaths import (
     LabeledPath,
     Tower,
@@ -374,3 +377,55 @@ def test_ballot_paths_content_and_order():
             assert len(got) == len(set(got)), (n, j)
             assert set(got) == set(want), (n, j)
             assert got == sorted(got, key=u_before_d), (n, j)
+
+
+def test_dyck_words_against_recursive_oracle():
+    for n in range(12):
+        assert list(iter_dyck(n)) == list(oracles.lattice_words(n, n, 0)), n
+
+
+def test_ballot_paths_against_recursive_oracle():
+    for n in range(9):
+        for j in range(1, 6):
+            want = list(oracles.lattice_words(n, n + j - 1, -(j - 1)))
+            assert list(iter_ballot_paths(n, j)) == want, (n, j)
+
+
+def test_long_words_need_no_recursion():
+    # the recursive walk stopped at Python's recursion limit near n = 495
+    assert next(iter_dyck(600, force=True)) == "U" * 600 + "D" * 600
+    t0 = time.perf_counter()
+    assert next(iter_elevated(600, force=True)) == "U" * 601 + "D" * 601
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_word_longer_than_any_str_overflows():
+    # refused before a step is built: no str holds more than sys.maxsize
+    with pytest.raises(OverflowError):
+        next(iter_dyck(sys.maxsize // 2 + 1, force=True))
+    with pytest.raises(OverflowError):
+        next(iter_ballot_paths(1, sys.maxsize))
+
+
+def test_elevated_stats_against_analyze():
+    for n in range(11):
+        want = Counter((st.up_peaks, sum(t.colored for t in st.towers), st.peaks)
+                       for st in map(analyze, iter_elevated(n)))
+        assert Counter(dict(dp._elevated_stats(n))) == want, n
+
+
+def test_labeled_gen_keeps_the_invariant(monkeypatch):
+    # a path whose tower scan finds no colored tower is an error, not a count
+    real = dp._tower_runs
+
+    def planted(inner):
+        for s, h, c in real(inner):
+            yield s, h, c and inner != "UDUD"
+
+    monkeypatch.setattr(dp, "_tower_runs", planted)
+    dp._elevated_stats.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation):
+            labeled_gen(2, "colored-towers", 1)
+    finally:
+        dp._elevated_stats.cache_clear()
