@@ -59,7 +59,6 @@ from .dyckpaths import (
 )
 from .partitions import (
     PartitionPair,
-    conjugate,
     enumerate_partitions,
     involution_step,
     iter_pairs,
@@ -72,7 +71,6 @@ from .partitions import (
     rank_family_gen,
     render_partition,
     repetition_statistic,
-    successive_ranks,
 )
 from .registry import IdentityReport, list_identities, verify
 from .conjecture import SweepReport, conjecture_poly, sweep

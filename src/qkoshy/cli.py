@@ -160,13 +160,14 @@ def _parser():
     return top
 
 
-def _emit(text, path):
+def _emit(chunks, path):
+    """Write the strings of chunks in turn, to path or else to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise _UsageError("cannot write %s: %s" % (path, exc)) from None
 
@@ -272,7 +273,7 @@ def report(args, reports):
         if args.command == "all":
             lines.append("overall: %s" % ("fail" if failed else "pass"))
         text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    _emit([text], args.output)
     return 1 if failed else 0
 
 
@@ -326,9 +327,9 @@ def _cmd_show(args):
     if args.format == "json":
         payload = {"subject": args.subject, "args": list(args.args),
                    "value": str(value)}
-        _emit(json.dumps(payload, indent=1) + "\n", args.output)
+        _emit([json.dumps(payload, indent=1) + "\n"], args.output)
     else:
-        _emit(str(value) + "\n", args.output)
+        _emit([str(value) + "\n"], args.output)
     return 0
 
 
@@ -343,23 +344,37 @@ def _cmd_enum(args):
     try:
         if args.subject == "partitions":
             max_part, length = ints
-            kw = {"max_length": length} if args.at_most else {"exact_length": length}
-            items = [
-                render_partition(p)
-                for p in enumerate_partitions(max_part, strict=args.strict,
-                                              force=args.force, **kw)
-            ]
+            items = map(render_partition, enumerate_partitions(
+                max_part, length, at_most=args.at_most, strict=args.strict,
+                force=args.force))
         else:
             it = iter_dyck if args.subject == "dyck" else iter_elevated
-            items = list(it(ints[0], force=args.force))
+            items = it(ints[0], force=args.force)
+        # the guards run by the first item at the latest, so one that
+        # trips stops the command before --output is opened
+        first = next(items, None)
     except ScaleLimit as exc:
         # every guard an enumerator raises here is one that --force lifts
         raise ScaleLimit("%s (pass --force to override)" % exc) from None
-    if args.format == "json":
-        _emit(json.dumps(items, indent=1) + "\n", args.output)
-    else:
-        _emit("\n".join(items) + "\n", args.output)
+    _emit(_enum_chunks(first, items, args.format), args.output)
     return 0
+
+
+def _enum_chunks(first, rest, fmt):
+    """The enum output, one item at a time: a line per item, or the bytes
+    of json.dumps(items, indent=1).  first is None when there is no item."""
+    if fmt == "json":
+        if first is None:
+            yield "[]\n"
+            return
+        yield "[\n " + json.dumps(first)
+        for item in rest:
+            yield ",\n " + json.dumps(item)
+        yield "\n]\n"
+    else:
+        yield (first or "") + "\n"
+        for item in rest:
+            yield item + "\n"
 
 
 # commands that print one q-object or enumeration, and commands that check
@@ -388,6 +403,11 @@ def run(argv=None) -> int:
     except (_UsageError, QKoshyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): stop quietly, with
+        # stdout pointed at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (OverflowError, RecursionError, MemoryError) as exc:
         # an argument too large for a list to index, hold or recurse to
         print("error: argument too large: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)

@@ -2,17 +2,19 @@
 
 Partitions are tuples of weakly decreasing positive parts.  The pair
 family at level r in context (n, j) consists of a strict partition mu
-with r parts obeying the staircase cap mu_i <= box - i + 1 and a
-partition nu with exactly n + j - 2r parts in [1, box], where box is
-n - 1 for j = 1 and n for j >= 2.  level_family is the one spelling of
-both families, which iter_pairs and the invT and iepar rows read.  The
-involution moves the smallest repeated value of the multiset mu + mu + nu
-between the two components, changing the level by one and preserving
-2|mu| + |nu|.
+with r parts in [1, box] and a partition nu with exactly n + j - 2r parts
+in [1, box], where box is n - 1 for j = 1 and n for j >= 2.  The
+staircase cap mu_i <= box - i + 1 needs no enumeration of its own: it
+follows from strictness, since mu_i <= mu_1 - i + 1.  level_family is
+the one spelling of both families, which iter_pairs and the invT and
+iepar rows read.  The involution moves the smallest repeated value of
+the multiset mu + mu + nu between the two components, changing the level
+by one and preserving 2|mu| + |nu|.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
@@ -26,78 +28,55 @@ from .poly import Poly
 ENUM_GUARD = 5_000_000
 
 
-def _length_spec(exact_length, max_length):
-    if (exact_length is None) == (max_length is None):
-        raise DomainError("give exactly one of exact_length, max_length")
-    if exact_length is not None:
-        if exact_length < 0:
-            raise DomainError("need exact_length >= 0")
-        return exact_length, True
-    if max_length < 0:
-        raise DomainError("need max_length >= 0")
-    return max_length, False
+def enumerate_partitions(max_part: int, length: int, *, at_most: bool = False,
+                         strict: bool = False, force: bool = False):
+    """Partitions with parts in [1, max_part] and exactly `length` parts,
+    or at most `length` with at_most, in descending lexicographic order,
+    a prefix before its extensions.
 
-
-def enumerate_partitions(
-    max_part: int,
-    *,
-    exact_length: int | None = None,
-    max_length: int | None = None,
-    strict: bool = False,
-    cap_schedule=None,
-    force: bool = False,
-):
-    """Partitions with positive parts bounded by max_part (or, position
-    by position, by cap_schedule), in descending lexicographic order.
-
-    The length bound is exact or at-most; an upper estimate of the
-    output size is guarded so runaway enumerations fail fast.
+    The prefixes are walked with an explicit stack over one shared list of
+    parts, so no length reaches Python's recursion limit.  Popping a part
+    pushes its next smaller sibling, then its largest child, so the child's
+    subtree comes first and the stack holds two entries per level.  An
+    upper estimate of the output size is guarded so runaway enumerations
+    fail fast.
     """
-    if max_part < 0:
-        raise DomainError("need max_part >= 0")
-    bound, exact = _length_spec(exact_length, max_length)
-    caps = list(cap_schedule) if cap_schedule is not None else [max_part] * bound
-    if len(caps) < bound:
-        raise DomainError("cap_schedule shorter than the length bound")
-    caps = [min(c, max_part) for c in caps[:bound]]
-    top = caps[0] if caps else 0
-    est = comb(top, bound) if strict else comb(top + bound, bound)
-    if est > ENUM_GUARD and not force:
-        raise ScaleLimit("estimated %d partitions exceeds guard" % est)
-
-    def rec(i, prev, acc):
-        if i == bound:
-            yield tuple(acc)
-            return
-        if not exact:
-            yield tuple(acc)
-        hi = min(prev - 1 if strict else prev, caps[i])
-        for v in range(hi, 0, -1):
-            acc.append(v)
-            yield from rec(i + 1, v, acc)
-            acc.pop()
-
-    yield from rec(0, max_part + 1, [])
+    if max_part < 0 or length < 0:
+        raise DomainError("need max_part, length >= 0")
+    if length > sys.maxsize:
+        raise OverflowError("a partition of %d parts is too long for a tuple" % length)
+    # comb(top, low) >= comb(2*low, low) >= 2**low, so a low of the guard's
+    # bit length already passes it and comb is computed only below that
+    top = max_part if strict else max_part + length
+    low = min(length, top - length)
+    if not force and low > 0 and (low >= ENUM_GUARD.bit_length()
+                                  or comb(top, low) > ENUM_GUARD):
+        raise ScaleLimit("estimated comb(%d, %d) partitions exceeds guard %d"
+                         % (top, low, ENUM_GUARD))
+    if at_most or not length:
+        yield ()
+    # a strict exact walk takes no part too small to leave room below it
+    # for the distinct parts still to come, so it visits no dead prefix
+    tight = strict and not at_most
+    parts = []
+    # (prefix length before the part, the part)
+    stack = [(0, max_part)] if length and max_part >= (length if tight else 1) else []
+    while stack:
+        k, v = stack.pop()
+        del parts[k:]
+        parts.append(v)
+        k += 1
+        if at_most or k == length:
+            yield tuple(parts)
+        if v > (length - k + 1 if tight else 1):
+            stack.append((k - 1, v - 1))
+        if k < length and v > strict:
+            stack.append((k, v - strict))
 
 
 def repetition_statistic(parts) -> int:
     """Number of distinct part values occurring at least twice."""
     return sum(1 for c in Counter(parts).values() if c >= 2)
-
-
-def conjugate(parts) -> tuple:
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > i) for i in range(parts[0]))
-
-
-def successive_ranks(parts) -> tuple:
-    """lambda_i minus conjugate_i along the Durfee square diagonal.  Only
-    the first d conjugate parts are counted, d being the square's side."""
-    d = 0
-    while d < len(parts) and parts[d] > d:
-        d += 1
-    return tuple(parts[i] - sum(1 for p in parts if p > i) for i in range(d))
 
 
 def render_partition(parts) -> str:
@@ -210,11 +189,11 @@ def level_range(n: int, j: int) -> range:
 
 def level_family(n: int, j: int, r: int):
     """The level-r mu and nu families of context (n, j), as two lazy
-    enumerate_partitions iterators."""
+    enumerate_partitions iterators.  A strict mu with parts at most box
+    meets the staircase cap box - i at each position i by strictness."""
     box = pair_box(n, j)
-    return (enumerate_partitions(box, exact_length=r, strict=True,
-                                 cap_schedule=[box - i for i in range(r)]),
-            enumerate_partitions(box, exact_length=n + j - 2 * r))
+    return (enumerate_partitions(box, r, strict=True),
+            enumerate_partitions(box, n + j - 2 * r))
 
 
 def iter_pairs(n: int, j: int, r: int):
@@ -288,7 +267,7 @@ def lambda_side(n: int, j: int) -> Poly:
 def _ranks_below(lam, top) -> bool:
     """Whether every successive rank of lam is below top, stopping at the
     first that is not.  A bisect on the descending parts counts the parts
-    above i, which is the i-th conjugate part."""
+    above i, which is the length of column i + 1 of lam's diagram."""
     for i, part in enumerate(lam):
         if part <= i:                    # past the Durfee square
             return True
@@ -303,5 +282,5 @@ def rank_family_gen(n: int, j: int) -> Poly:
     if n < 0 or j < 1:
         raise DomainError("need n >= 0 and j >= 1")
     return Poly.from_counts(Counter(
-        sum(lam) for lam in enumerate_partitions(n + j - 2, max_length=n)
+        sum(lam) for lam in enumerate_partitions(n + j - 2, n, at_most=True)
         if _ranks_below(lam, j - 1)))

@@ -124,6 +124,26 @@ def lattice_words(ups, downs, floor):
     return rec(ups, downs, 0)
 
 
+def partitions(max_part, length, at_most=False, strict=False):
+    """Partitions with parts in [1, max_part] and exactly `length` parts
+    (at most `length` with at_most), in descending lexicographic order, a
+    prefix before its extensions, by one recursive generator frame per
+    part."""
+    parts = []
+
+    def rec(prev):
+        if len(parts) == length or at_most:
+            yield tuple(parts)
+        if len(parts) == length:
+            return
+        for v in range(min(prev - strict, max_part), 0, -1):
+            parts.append(v)
+            yield from rec(v)
+            parts.pop()
+
+    return rec(max_part + 1)
+
+
 def major_index(word):
     """Sum of 1-based positions i with step i = D and step i+1 = U, by
     looking at every position."""

@@ -96,6 +96,7 @@ HUGE = str(10 ** 20)
     ["show", "qballot", HUGE, "1"],
     ["verify", "--id", "koshy", "--n", "1.." + HUGE, "--force"],
     ["enum", "dyck", HUGE, "--force"],
+    ["enum", "partitions", "3", HUGE, "--force"],
 ])
 def test_huge_integer_arguments_exit_2(capsys, argv):
     assert run(argv) == 2
@@ -430,6 +431,53 @@ def test_enum_outputs(capsys):
     # here --force does lift the guard, so the error names it
     assert run(["enum", "dyck", "15"]) == 2
     assert capsys.readouterr().err.endswith("(pass --force to override)\n")
+
+
+def test_enum_streams_the_bytes_of_one_dump(capsys):
+    # each item is written as the walk yields it, and the text and JSON
+    # bytes are those of the whole list written at once
+    for argv, items in [
+        (["enum", "partitions", "0", "2"], []),
+        (["enum", "partitions", "3", "0"], ["[]"]),
+        (["enum", "dyck", "0"], [""]),
+        (["enum", "partitions", "3", "2", "--at-most"],
+         ["[]", "[3]", "[3,3]", "[3,2]", "[3,1]", "[2]", "[2,2]", "[2,1]", "[1]", "[1,1]"]),
+    ]:
+        assert run(argv) == 0
+        assert capsys.readouterr().out == "\n".join(items) + "\n", argv
+        assert run(argv + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(items, indent=1) + "\n", argv
+
+
+def test_enum_long_partition_needs_no_recursion(capsys):
+    assert run(["enum", "partitions", "1", "5000"]) == 0
+    assert capsys.readouterr().out == "[" + ",".join(["1"] * 5000) + "]\n"
+
+
+def test_enum_guard_leaves_output_untouched(capsys, tmp_path):
+    target = tmp_path / "words.txt"
+    target.write_text("keep\n")
+    assert run(["enum", "dyck", "20", "--output", str(target)]) == 2
+    assert capsys.readouterr().err.endswith("(pass --force to override)\n")
+    assert target.read_text() == "keep\n"
+
+
+def test_enum_reader_closing_early_is_quiet():
+    # the walk of n = 600 never ends in practice; closing the pipe after
+    # one line must end it with status 0 and nothing on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qkoshy", "enum", "dyck", "600", "--force"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "U" * 600 + "D" * 600 + "\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == ""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

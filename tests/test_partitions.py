@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from math import comb
 
@@ -5,10 +6,10 @@ import pickle
 
 import pytest
 
-from qkoshy.errors import InvariantViolation, NoRepeatedPart, ScaleLimit
+from qkoshy import partitions
+from qkoshy.errors import DomainError, InvariantViolation, NoRepeatedPart, ScaleLimit
 from qkoshy.partitions import (
     PartitionPair,
-    conjugate,
     enumerate_partitions,
     involution_step,
     iter_pairs,
@@ -20,7 +21,6 @@ from qkoshy.partitions import (
     rank_family_gen,
     render_partition,
     repetition_statistic,
-    successive_ranks,
 )
 from qkoshy.poly import Poly
 from qkoshy.qfuncs import q_ballot
@@ -33,7 +33,7 @@ def test_enumeration_counts():
     # only when parts are unordered multisets; check against a direct filter
     for max_part in range(1, 6):
         for length in range(0, 5):
-            got = list(enumerate_partitions(max_part, exact_length=length))
+            got = list(enumerate_partitions(max_part, length))
             assert len(set(got)) == len(got)
             for p in got:
                 assert len(p) == length
@@ -46,39 +46,70 @@ def test_enumeration_counts():
 def test_enumeration_strict_counts():
     for max_part in range(1, 7):
         for length in range(0, max_part + 1):
-            got = list(enumerate_partitions(max_part, exact_length=length, strict=True))
+            got = list(enumerate_partitions(max_part, length, strict=True))
             assert len(got) == comb(max_part, length), (max_part, length)
             for p in got:
                 assert len(set(p)) == len(p)
 
 
 def test_enumeration_max_length():
-    got = list(enumerate_partitions(2, max_length=2))
+    got = list(enumerate_partitions(2, 2, at_most=True))
     assert set(got) == {(), (1,), (2,), (1, 1), (2, 1), (2, 2)}
     assert got[0] == ()
 
 
 def test_enumeration_guard():
     with pytest.raises(ScaleLimit):
-        list(enumerate_partitions(60, exact_length=30))
+        list(enumerate_partitions(60, 30))
     # force opens the gate; just peek at the first element
-    first = next(iter(enumerate_partitions(60, exact_length=30, force=True)))
+    first = next(iter(enumerate_partitions(60, 30, force=True)))
     assert len(first) == 30
+    # an estimate far past the guard is refused without computing it
+    with pytest.raises(ScaleLimit):
+        next(enumerate_partitions(10 ** 19, 10 ** 18, strict=True))
+
+
+def test_enumeration_against_recursive_oracle():
+    # same partitions in the same order as the recursive walk, prefixes
+    # first under at_most
+    for max_part in range(0, 9):
+        for length in range(0, 9):
+            for at_most in (False, True):
+                for strict in (False, True):
+                    got = list(enumerate_partitions(max_part, length, at_most=at_most,
+                                                    strict=strict))
+                    want = list(oracles.partitions(max_part, length, at_most, strict))
+                    assert got == want, (max_part, length, at_most, strict)
+
+
+def test_strict_exact_walk_skips_dead_prefixes():
+    # 60 partitions out of a tree of 2**60 strict prefixes
+    got = list(enumerate_partitions(60, 59, strict=True))
+    assert got == [tuple(v for v in range(60, 0, -1) if v != skip) for skip in range(1, 61)]
+
+
+def test_long_partitions_need_no_recursion():
+    walk = enumerate_partitions(2, 3000, at_most=True, force=True)
+    assert [len(p) for p in itertools.islice(walk, 3001)] == list(range(3001))
+    with pytest.raises(DomainError):
+        next(enumerate_partitions(3, -1))
 
 
 def test_basic_statistics():
-    assert conjugate((3, 3, 1)) == (3, 2, 2)
-    assert conjugate(()) == ()
-    assert successive_ranks((3, 3, 1)) == (0, 1)
-    assert successive_ranks(()) == ()
-    assert successive_ranks((1,)) == (0,)
+    assert oracles.successive_ranks((3, 3, 1)) == (0, 1)
+    assert oracles.successive_ranks(()) == ()
+    assert oracles.successive_ranks((1,)) == (0,)
 
 
 def test_successive_ranks_against_full_conjugate():
-    parts = list(enumerate_partitions(9, max_length=7))
+    # _ranks_below stops at the first rank that is too large and counts
+    # conjugate parts by bisect; the oracle builds the whole conjugate
+    parts = list(enumerate_partitions(9, 7, at_most=True))
     assert len(parts) == comb(16, 7)
     for lam in parts:
-        assert successive_ranks(lam) == oracles.successive_ranks(lam), lam
+        ranks = oracles.successive_ranks(lam)
+        for top in range(-9, 11):
+            assert partitions._ranks_below(lam, top) == all(rk < top for rk in ranks), (lam, top)
     assert repetition_statistic((2, 2, 1)) == 1
     assert repetition_statistic((3, 2, 1)) == 0
     assert repetition_statistic((2, 2, 1, 1)) == 2
@@ -237,18 +268,18 @@ def test_rank_family_membership():
     total = rank_family_gen(n, j)(1)
     count = sum(
         1
-        for lam in enumerate_partitions(n + j - 2, max_length=n)
-        if all(rk < j - 1 for rk in successive_ranks(lam))
+        for lam in enumerate_partitions(n + j - 2, n, at_most=True)
+        if all(rk < j - 1 for rk in oracles.successive_ranks(lam))
     )
     assert count == total
 
 
 def test_rank_family_against_oracle_filter():
-    # rank_family_gen stops at the first rank that is too large and counts
-    # conjugate parts by bisect; the oracle builds the whole conjugate
+    # the whole series against the oracle's walk, each rank read from the
+    # oracle's whole conjugate
     for n in range(1, 9):
         for j in range(1, 7):
             want = Poly.from_counts(Counter(
-                sum(lam) for lam in enumerate_partitions(n + j - 2, max_length=n)
+                sum(lam) for lam in oracles.partitions(n + j - 2, n, at_most=True)
                 if all(rk < j - 1 for rk in oracles.successive_ranks(lam))))
             assert rank_family_gen(n, j) == want, (n, j)
