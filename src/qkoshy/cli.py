@@ -9,7 +9,6 @@ written), 2 means the invocation itself was bad.
 """
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -256,6 +255,7 @@ def report(args, reports):
     if args.format == "json":
         text = json.dumps(_JSON_SHAPE[args.command](dicts), indent=1) + "\n"
     elif args.format == "csv":
+        import csv
         _, header, rows = _LAYOUT[type(reports[0])]
         buf = io.StringIO()
         out = csv.writer(buf, lineterminator="\n")

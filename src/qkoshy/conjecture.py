@@ -31,7 +31,6 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import starmap
-from multiprocessing import Pool
 from operator import add, ge
 
 from .errors import DivisionInexact, DomainError, InvariantViolation
@@ -115,6 +114,13 @@ def _cell_record(params: dict, p: Poly, index: int) -> dict:
 
 def _apply_chunk(fn, chunk):
     return list(starmap(fn, chunk))
+
+
+def Pool(processes):
+    """A multiprocessing pool of the given number of workers.  The module
+    is imported on first use, so a serial run never loads it."""
+    import multiprocessing
+    return multiprocessing.Pool(processes)
 
 
 def ordered_map(fn, tasks, jobs=1, chunksize=1):

@@ -9,22 +9,28 @@ whole-path indices, so the elevating first U-step is addressable as 0.
 Every path iterator reads _lattice_words.  It walks the prefixes with an
 explicit stack, so no word is too long for Python's recursion limit, and
 takes the last 12 steps or fewer from cached tuples of short tails.
+iter_ballot_tuples walks the tail family of each first-word length once
+and pairs every first word of that length with it.
 
 Coloring runs in one left-to-right pass, _tower_runs.  A tower is colored
 when its immediately preceding element is a U-step (the elevating step
 included) or an uncolored tower, with that tower's color as this same
 pass gave it.  The rule has to be sequential: judging the preceding tower
 by the U-step rule alone miscounts the labeled paths already at n = 4,
-m = 1.
+m = 1.  The pass reads only the lengths of the word's (U-run, D-run)
+pairs: each pair holds one tower, and whether a tower follows a U-step or
+ends right before the next one is a comparison of two run lengths.
 
 The lemma1 and lemma2 rows read colored_towers(n), one table per n of
 each elevated path with its colored towers, because their cells walk the
-same few paths (626 with n <= 7) many times over.  labeled_gen and
-distribution stream instead: their rows reach n = 12, whose 208,012
-paths would be too many to hold.  labeled_gen reads the few distinct
-(up-peaks, colored towers, peaks) rows, each weighted by its path count,
-which one _tower_runs scan per inner word counts; distribution counts UUD
-on each path.
+same few paths (626 with n <= 7) many times over.  The bijections take a
+labeled path's towers from the tables built so far, and decompose the
+path only when no table holds it or a label is off its colored towers;
+they never build a table.  labeled_gen and distribution stream instead:
+their rows reach n = 12, whose 208,012 paths would be too many to hold.
+labeled_gen reads the few distinct (up-peaks, colored towers, peaks)
+rows, each weighted by its path count, which one _tower_runs scan per
+inner word counts; distribution counts UUD on each path.
 """
 
 from __future__ import annotations
@@ -132,7 +138,15 @@ def iter_elevated(n: int, force: bool = False):
 
 
 def iter_ballot_tuples(n: int, r: int):
-    """(r+1)-tuples of Dyck words with n U-steps in total."""
+    """(r+1)-tuples of Dyck words with n U-steps in total, ordered by the
+    first word's length, then by the first word, then by the rest.
+
+    The tails after a first word of k U-steps are walked once for each k:
+    held for the heads to share when there are several (k >= 2), streamed
+    to the one head "" or "UD" otherwise.  So the largest tail families,
+    those of k <= 1, are never held, and a held family is no larger than
+    the tuples already yielded.
+    """
     if n < 0 or r < 0:
         raise DomainError("need n, r >= 0")
     _check_scale(n)
@@ -141,8 +155,11 @@ def iter_ballot_tuples(n: int, r: int):
             yield (p,)
         return
     for k in range(n + 1):
+        tails = iter_ballot_tuples(n - k, r - 1)
+        if k >= 2:
+            tails = tuple(tails)
         for head in iter_dyck(k):
-            for tail in iter_ballot_tuples(n - k, r - 1):
+            for tail in tails:
                 yield (head,) + tail
 
 
@@ -183,22 +200,29 @@ def _tower_runs(inner: str):
     to right, with the elevating U-step of the surrounding elevated path
     counted as a predecessor.  The coloring rule is written only here.
 
-    At every boundary between a U-run of length a and a D-run of length
-    b the unique maximal pyramid has height min(a, b) and occupies the
-    last min(a, b) U's and the first min(a, b) D's.
+    An inner Dyck word is a sequence of (U-run, D-run) pairs.  Each pair,
+    of lengths a and b, holds one maximal pyramid, of height min(a, b),
+    made of its last min(a, b) U's and its first min(a, b) D's.  In run
+    lengths the rule reads: the first tower follows a U-step (the
+    elevating one when a = b) and is colored; a later tower with a > b
+    follows a U-step and is colored; one with a <= b follows the previous
+    run's last D-step, which ends the previous tower exactly when that
+    tower's D-run was no longer than its U-run, and then it takes the
+    opposite color; any other tower is uncolored.
     """
-    end = colored = None             # of the previous tower
-    for run in _PEAK_RUN.finditer(inner):
-        h = min(len(run[1]), len(run[2]))
-        s = run.end(1) - h
-        if s == 0 or inner[s - 1] == "U":
-            c = True                 # follows a U-step, maybe the elevating one
-        elif end == s - 1:
-            c = not colored
+    pos = 0                          # inner index where the pair starts
+    adjacent = colored = False       # of the previous tower
+    for ups, downs in _PEAK_RUN.findall(inner):
+        a, b = len(ups), len(downs)
+        if a > b:
+            h, c = b, True           # follows a U-step of its own run
+        elif pos:
+            h, c = a, adjacent and not colored
         else:
-            c = False
-        yield s, h, c
-        end, colored = s + 2 * h - 1, c
+            h, c = a, True           # follows the elevating U-step
+        yield pos + a - h, h, c
+        pos += a + b
+        adjacent, colored = b <= a, c
 
 
 def decompose_towers(inner: str):
@@ -227,15 +251,23 @@ def analyze(path: str) -> PathStats:
     return PathStats(peaks=path.count("UD"), up_peaks=path.count("UUD"), towers=towers)
 
 
+# path -> its colored towers, for every path of each table colored_towers
+# has built; a row depends on its path alone, so it stays true when the
+# cache lets the table go
+_held_towers: dict[str, tuple[Tower, ...]] = {}
+
+
 @lru_cache(maxsize=11)
 def colored_towers(n: int):
     """(path, its colored towers) for each elevated path over n inner
     U-steps, in iter_elevated order.  Built by analyze, so a path with no
     colored tower still raises; these tables make the only analyze calls
     of the registry rows.  Cached, one table per n up to the lemma rows'
-    cap of 10."""
-    return tuple((p, tuple(t for t in analyze(p).towers if t.colored))
-                 for p in iter_elevated(n))
+    cap of 10; the bijections read the rows of every table built."""
+    table = tuple((p, tuple(t for t in analyze(p).towers if t.colored))
+                  for p in iter_elevated(n))
+    _held_towers.update(table)
+    return table
 
 
 @lru_cache(maxsize=16)
@@ -335,9 +367,19 @@ class LabeledPath:
 
 def _labeled_towers(lp: LabeledPath):
     """The towers of lp's path by start index, after checking that every
-    s-label sits on a colored tower."""
+    s-label sits on a colored tower.
+
+    When a table colored_towers has built holds the path and every label
+    sits on one of its colored towers, those towers are the answer; any
+    other case decomposes the path and names the first bad label.
+    """
     if lp.kind != "towers":
         raise MalformedLabel("expected tower labels, got %r" % lp.kind)
+    held = _held_towers.get(lp.path)
+    if held is not None:
+        tmap = {t.start: t for t in held}
+        if all(s in tmap for s in lp.s_labels):
+            return tmap
     if not is_elevated(lp.path):
         raise MalformedLabel("label carrier is not an elevated path")
     tmap = {t.start: t for t in decompose_towers(lp.path[1:-1])}

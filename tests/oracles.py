@@ -4,7 +4,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from qkoshy.dyckpaths import peak_dist
+from qkoshy.dyckpaths import iter_dyck, peak_dist
 from qkoshy.poly import Poly
 
 
@@ -122,6 +122,19 @@ def lattice_words(ups, downs, floor):
             word.pop()
 
     return rec(ups, downs, 0)
+
+
+def ballot_tuples(n, r):
+    """(r+1)-tuples of Dyck words with n U-steps in total, by walking the
+    tails again for every first word."""
+    if r == 0:
+        for p in iter_dyck(n):
+            yield (p,)
+        return
+    for k in range(n + 1):
+        for head in iter_dyck(k):
+            for tail in ballot_tuples(n - k, r - 1):
+                yield (head,) + tail
 
 
 def partitions(max_part, length, at_most=False, strict=False):

@@ -72,6 +72,12 @@ def test_ballot_enumerations():
             assert len(paths) == ballot_number(n, j - 1), (n, j)
 
 
+def test_ballot_tuples_against_recursive_oracle():
+    for n in range(7):
+        for r in range(4):
+            assert list(iter_ballot_tuples(n, r)) == list(oracles.ballot_tuples(n, r)), (n, r)
+
+
 def test_major_index_distributions():
     # maj over Dyck paths is the q-Catalan number; this is the brute side
     for n in range(7):
@@ -255,6 +261,48 @@ def test_lemma1_malformed():
         LabeledPath("UUDD", "towers", (0, 0))
 
 
+@pytest.mark.parametrize("labels,message", [
+    ((2,), "tower at inner index 2 is not colored"),
+    ((0, 2), "tower at inner index 2 is not colored"),
+    ((1,), "no tower starts at inner index 1"),
+    ((8,), "no tower starts at inner index 8"),
+])
+def test_bad_labels_on_a_held_path(labels, message):
+    # the path's table is held, but a label off its colored towers still
+    # gets the message of a full decomposition
+    path = "UUDUDUDD"
+    assert path in dict(colored_towers(3))
+    for bijection, w_labels in ((lemma1_forward, ()), (lemma2_forward, labels[:1]),
+                                (lemma2_inverse, labels[:1])):
+        with pytest.raises(MalformedLabel, match="^%s$" % message):
+            bijection(LabeledPath(path, "towers", labels, w_labels))
+
+
+def test_held_path_is_not_decomposed_again(monkeypatch):
+    path = "UUUDDUDUDD"
+    colored_towers(4)
+
+    def refused(inner):
+        raise AssertionError("decomposed %s again" % inner)
+
+    monkeypatch.setattr(dp, "decompose_towers", refused)
+    assert lemma1_forward(LabeledPath(path, "towers", (0, 6))) == LabeledPath(
+        "UUDUDD", "usteps", (1, 3))
+    src = LabeledPath(path, "towers", (0, 6), (0,))
+    assert lemma2_forward(src) == LabeledPath("UUDUDUDD", "towers", (0, 4), (0,))
+    assert lemma2_inverse(src) == LabeledPath("UUUUDDDUDUDD", "towers", (0, 8), (0,))
+
+
+def test_bijection_builds_no_table():
+    # no table is built for n = 11, above the lemma rows' cap
+    src = LabeledPath("U" + "UUDD" + "UD" * 9 + "D", "towers", (0, 6, 10))
+    size = colored_towers.cache_info().currsize
+    img = lemma1_forward(src)
+    assert img == LabeledPath("UUDUDUDUDUDUDUDUDD", "usteps", (1, 3, 5))
+    assert colored_towers.cache_info().currsize == size
+    assert lemma1_inverse(img) == src
+
+
 def lemma2_all_sources(n, m, r):
     from itertools import combinations
 
@@ -407,10 +455,12 @@ def test_word_longer_than_any_str_overflows():
         next(iter_ballot_paths(1, sys.maxsize))
 
 
-def test_elevated_stats_against_analyze():
+def test_elevated_stats_against_oracle():
     for n in range(11):
-        want = Counter((st.up_peaks, sum(t.colored for t in st.towers), st.peaks)
-                       for st in map(analyze, iter_elevated(n)))
+        want = Counter((p.count("UUD"),
+                        sum(t.colored for t in oracles.decompose_towers(p[1:-1])),
+                        p.count("UD"))
+                       for p in iter_elevated(n))
         assert Counter(dict(dp._elevated_stats(n))) == want, n
 
 
