@@ -288,7 +288,9 @@ def probe_writable(path):
     raise, as far as can be told without creating, truncating or changing
     anything."""
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
@@ -357,15 +359,16 @@ def sweep(
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
     t0 = time.perf_counter()
-    prior = _load_frontier(frontier_path, case) if frontier_path else None
+    prior = _load_frontier(frontier_path, case) if frontier_path is not None else None
     skip = prior["verified"] if prior else None
 
     grid = {"m_max": m_max, "n_max": n_max, "j_max": j_max}
     empty = _box_cells(case, grid) == 0
-    if frontier_path and not empty:
-        # refuse an unwritable frontier now, not after the last cell
+    if frontier_path is not None and not empty:
+        # refuse an unwritable frontier now, not after the last cell; the
+        # empty path names no file to rename the temporary one over
         with _frontier_tmp(frontier_path) as tmp:
-            probe_writable(tmp)
+            probe_writable(tmp if frontier_path else frontier_path)
     columns = [] if empty else [
         (case, n, m_max, j_max, skip)
         for n in range(1 if case == "odd-n" else 2, n_max + 1, 2)
@@ -401,7 +404,7 @@ def sweep(
             "verified": box,
             "counterexamples": _merge_counterexamples(prior["counterexamples"], bad),
         }
-    if frontier_path and not empty:
+    if frontier_path is not None and not empty:
         _write_frontier(frontier_path, frontier)
 
     elapsed = int((time.perf_counter() - t0) * 1000)

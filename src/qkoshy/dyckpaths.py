@@ -21,16 +21,18 @@ m = 1.  The pass reads only the lengths of the word's (U-run, D-run)
 pairs: each pair holds one tower, and whether a tower follows a U-step or
 ends right before the next one is a comparison of two run lengths.
 
-The lemma1 and lemma2 rows read colored_towers(n), one table per n of
-each elevated path with its colored towers, because their cells walk the
-same few paths (626 with n <= 7) many times over.  The bijections take a
-labeled path's towers from the tables built so far, and decompose the
-path only when no table holds it or a label is off its colored towers;
-they never build a table.  labeled_gen and distribution stream instead:
-their rows reach n = 12, whose 208,012 paths would be too many to hold.
-labeled_gen reads the few distinct (up-peaks, colored towers, peaks)
-rows, each weighted by its path count, which one _tower_runs scan per
-inner word counts; distribution counts UUD on each path.
+A path's towers are looked up in one memo, _towers_of.  analyze reads
+it, and so do the bijections, for the paths they are given and, in
+lemma1_inverse, for each path as edited so far.  The lemma1 and lemma2
+rows read colored_towers(n), one table per n of each elevated path with
+its colored towers, because their cells walk the same few paths (626
+with n <= 7) many times over; each table fills the memo as analyze builds
+it, so the bijections decompose no word twice and never build a table.
+labeled_gen and distribution stream instead: their rows reach n = 12,
+whose 208,012 paths would be too many to hold.  labeled_gen reads the few
+distinct (up-peaks, colored towers, peaks) rows, each weighted by its
+path count, which one _tower_runs scan per inner word counts;
+distribution counts UUD on each path.
 """
 
 from __future__ import annotations
@@ -237,37 +239,40 @@ class PathStats:
     towers: tuple[Tower, ...]
 
 
+# 1 << 15 holds all 23,714 elevated paths with at most 10 inner U-steps,
+# the lemma rows' cap, so no lemma cell decomposes a word twice
+@lru_cache(maxsize=1 << 15)
+def _towers_of(path: str):
+    """The towers of an elevated path's inner word, or None when path is
+    not an elevated path.  Cached: analyze and the bijections find a
+    path's towers only here."""
+    return decompose_towers(path[1:-1]) if is_elevated(path) else None
+
+
 def analyze(path: str) -> PathStats:
     """Statistics and tower decomposition of an elevated Dyck path.
 
     Neither UD nor UUD can overlap a copy of itself, so str.count finds
     every peak and every up-peak.
     """
-    if not is_elevated(path):
+    towers = _towers_of(path)
+    if towers is None:
         raise DomainError("not an elevated Dyck path: %r" % path)
-    towers = decompose_towers(path[1:-1])
     if len(path) > 2 and not any(t.colored for t in towers):
         raise InvariantViolation("elevated path %r has no colored tower" % path)
     return PathStats(peaks=path.count("UD"), up_peaks=path.count("UUD"), towers=towers)
-
-
-# path -> its colored towers, for every path of each table colored_towers
-# has built; a row depends on its path alone, so it stays true when the
-# cache lets the table go
-_held_towers: dict[str, tuple[Tower, ...]] = {}
 
 
 @lru_cache(maxsize=11)
 def colored_towers(n: int):
     """(path, its colored towers) for each elevated path over n inner
     U-steps, in iter_elevated order.  Built by analyze, so a path with no
-    colored tower still raises; these tables make the only analyze calls
-    of the registry rows.  Cached, one table per n up to the lemma rows'
-    cap of 10; the bijections read the rows of every table built."""
-    table = tuple((p, tuple(t for t in analyze(p).towers if t.colored))
-                  for p in iter_elevated(n))
-    _held_towers.update(table)
-    return table
+    colored tower still raises and every path's towers enter the
+    _towers_of memo; these tables make the only analyze calls of the
+    registry rows.  Cached, one table per n up to the lemma rows' cap of
+    10."""
+    return tuple((p, tuple(t for t in analyze(p).towers if t.colored))
+                 for p in iter_elevated(n))
 
 
 @lru_cache(maxsize=16)
@@ -367,22 +372,13 @@ class LabeledPath:
 
 def _labeled_towers(lp: LabeledPath):
     """The towers of lp's path by start index, after checking that every
-    s-label sits on a colored tower.
-
-    When a table colored_towers has built holds the path and every label
-    sits on one of its colored towers, those towers are the answer; any
-    other case decomposes the path and names the first bad label.
-    """
+    s-label sits on a colored tower; the first bad label is named."""
     if lp.kind != "towers":
         raise MalformedLabel("expected tower labels, got %r" % lp.kind)
-    held = _held_towers.get(lp.path)
-    if held is not None:
-        tmap = {t.start: t for t in held}
-        if all(s in tmap for s in lp.s_labels):
-            return tmap
-    if not is_elevated(lp.path):
+    towers = _towers_of(lp.path)
+    if towers is None:
         raise MalformedLabel("label carrier is not an elevated path")
-    tmap = {t.start: t for t in decompose_towers(lp.path[1:-1])}
+    tmap = {t.start: t for t in towers}
     for s in lp.s_labels:
         t = tmap.get(s)
         if t is None:
@@ -448,7 +444,7 @@ def lemma1_inverse(lp: LabeledPath) -> LabeledPath:
     """
     if lp.kind != "usteps":
         raise MalformedLabel("expected U-step labels, got %r" % lp.kind)
-    if not is_elevated(lp.path):
+    if _towers_of(lp.path) is None:
         raise MalformedLabel("label carrier is not an elevated path")
     cur = lp.path
     out_towers: list[int] = []
@@ -463,7 +459,7 @@ def lemma1_inverse(lp: LabeledPath) -> LabeledPath:
             out_towers.append(u)         # inner index of the inserted tower
             continue
         u_inner = u - 1
-        t = next((x for x in decompose_towers(cur[1:-1]) if x.start <= u_inner <= x.end), None)
+        t = next((x for x in _towers_of(cur) if x.start <= u_inner <= x.end), None)
         if t is None or t.start + t.height - 1 != u_inner:
             raise MalformedLabel("label %d is not a peak U-step" % orig)
         if t.colored:

@@ -159,7 +159,9 @@ class Poly:
         return Poly._raw(out)
 
     def __rsub__(self, other):
-        return Poly(other).__sub__(self)
+        if not isinstance(other, int):
+            return NotImplemented
+        return Poly(other) - self
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -277,7 +277,9 @@ def test_unwritable_target_is_refused_before_any_cell(capsys, monkeypatch, tmp_p
     for argv in (["verify", "--id", "koshy", "--n", "1..3", "--output", target],
                  ["sweep", "--m-max", "3", "--n-max", "3", "--output", target],
                  ["sweep", "--m-max", "3", "--n-max", "3", "--frontier", target],
-                 ["all", "--output", target]):
+                 ["all", "--output", target],
+                 ["verify", "--id", "koshy", "--output", ""],
+                 ["sweep", "--m-max", "3", "--n-max", "3", "--frontier", ""]):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write "), argv
@@ -304,6 +306,8 @@ def test_probe_writable_touches_nothing(tmp_path):
         cj.probe_writable(str(tmp_path))
     with pytest.raises(FileNotFoundError):
         cj.probe_writable(str(tmp_path / "missing" / "x"))
+    with pytest.raises(FileNotFoundError):
+        cj.probe_writable("")
     with pytest.raises(NotADirectoryError):
         cj.probe_writable(str(existing / "x"))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]

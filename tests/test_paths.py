@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 import qkoshy.dyckpaths as dp
+from qkoshy import registry
 from qkoshy.dyckpaths import (
     LabeledPath,
     Tower,
@@ -268,8 +269,8 @@ def test_lemma1_malformed():
     ((8,), "no tower starts at inner index 8"),
 ])
 def test_bad_labels_on_a_held_path(labels, message):
-    # the path's table is held, but a label off its colored towers still
-    # gets the message of a full decomposition
+    # the path's table is built, so its towers are in the memo, and a
+    # label off its colored towers still gets its own message
     path = "UUDUDUDD"
     assert path in dict(colored_towers(3))
     for bijection, w_labels in ((lemma1_forward, ()), (lemma2_forward, labels[:1]),
@@ -279,6 +280,7 @@ def test_bad_labels_on_a_held_path(labels, message):
 
 
 def test_held_path_is_not_decomposed_again(monkeypatch):
+    # building the table put the path's towers in the memo
     path = "UUUDDUDUDD"
     colored_towers(4)
 
@@ -291,6 +293,40 @@ def test_held_path_is_not_decomposed_again(monkeypatch):
     src = LabeledPath(path, "towers", (0, 6), (0,))
     assert lemma2_forward(src) == LabeledPath("UUDUDUDD", "towers", (0, 4), (0,))
     assert lemma2_inverse(src) == LabeledPath("UUUUDDDUDUDD", "towers", (0, 8), (0,))
+
+
+def _decomposed_by_lemma_rows(monkeypatch):
+    """The words decompose_towers is called on, with their call counts,
+    while the lemma rows run at n <= 7 from empty tables and memo."""
+    seen = Counter()
+
+    def counting(inner, _real=dp.decompose_towers):
+        seen[inner] += 1
+        return _real(inner)
+
+    monkeypatch.setattr(dp, "decompose_towers", counting)
+    colored_towers.cache_clear()
+    dp._towers_of.cache_clear()
+    for ident in ("lemma1", "lemma2"):
+        assert registry.verify(ident, bounds={"n": (1, 7)}, jobs=1).status == "pass"
+    return seen
+
+
+def test_lemma_rows_decompose_each_word_once(monkeypatch):
+    seen = _decomposed_by_lemma_rows(monkeypatch)
+    assert len(seen) == 626                  # every elevated path with n <= 7
+    assert set(seen.values()) == {1}
+
+
+def test_tower_memo_against_oracle(monkeypatch):
+    seen = _decomposed_by_lemma_rows(monkeypatch)
+    # each miss decomposed its word once, so seen names every cached entry
+    info = dp._towers_of.cache_info()
+    assert info.currsize == len(seen)
+    for inner in seen:
+        towers = dp._towers_of("U" + inner + "D")
+        assert _fields(towers) == _fields(oracles.decompose_towers(inner)), inner
+    assert dp._towers_of.cache_info().misses == info.misses
 
 
 def test_bijection_builds_no_table():
@@ -400,11 +436,13 @@ def test_colored_tower_table_keeps_the_invariant(monkeypatch):
 
     monkeypatch.setattr("qkoshy.dyckpaths.decompose_towers", uncolored)
     colored_towers.cache_clear()
+    dp._towers_of.cache_clear()
     try:
         with pytest.raises(InvariantViolation):
             colored_towers(3)
     finally:
         colored_towers.cache_clear()
+        dp._towers_of.cache_clear()
 
 
 def test_ballot_paths_content_and_order():

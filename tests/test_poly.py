@@ -61,6 +61,15 @@ def test_arithmetic_spots():
     assert Poly(1, 1, 1)(1) == 3
 
 
+def test_int_is_the_only_scalar_operand():
+    assert 3 - Poly.one() == Poly(2)
+    for bad in (2.5, None):
+        with pytest.raises(TypeError):
+            bad + Poly.one()
+        with pytest.raises(TypeError):
+            bad - Poly.one()
+
+
 def test_poly_pow_reference():
     assert poly_pow(Poly(1, 1), 2) == Poly(1, 2, 1)
     assert poly_pow(Poly(1, 1), 0) == Poly.one()
