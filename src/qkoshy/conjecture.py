@@ -18,9 +18,9 @@ nonnegative for odd n >= 2r + 1 (checked up to n = 60, in each column
 that has grid cells).
 
 Both sweeps and registry.verify fan out through ordered_map, the one
-process pool of the package.  The pool is closed and joined before it is
-left, never terminated with work in flight, so an early close waits for
-the few chunks still running.
+process pool of the package, one column per task.  The pool is closed and
+joined before it is left, never terminated with work in flight, so an
+early close waits for at most 2 * jobs columns.
 """
 
 import errno
@@ -112,10 +112,6 @@ def _cell_record(params: dict, p: Poly, index: int) -> dict:
     return {"params": params, "poly": str(p), "break_index": index}
 
 
-def _apply_chunk(fn, chunk):
-    return list(starmap(fn, chunk))
-
-
 def Pool(processes):
     """A multiprocessing pool of the given number of workers.  The module
     is imported on first use, so a serial run never loads it."""
@@ -123,15 +119,15 @@ def Pool(processes):
     return multiprocessing.Pool(processes)
 
 
-def ordered_map(fn, tasks, jobs=1, chunksize=1):
+def ordered_map(fn, tasks, jobs=1):
     """Yield fn(*task) for each task, in task order.
 
     With jobs <= 1 or at most one task this is a plain map in this
-    process; otherwise the tasks go to a pool of jobs worker processes in
-    chunks of chunksize, with at most 2 * jobs chunks in flight.  However
-    the generator ends (exhausted, a task's error, or closed early by a
-    break in the caller, under contextlib.closing), the pool is closed and
-    joined, not terminated: the chunks in flight run out and every worker
+    process; otherwise each task goes to a pool of jobs worker processes
+    on its own, with at most 2 * jobs tasks in flight.  However the
+    generator ends (exhausted, a task's error, or closed early by a break
+    in the caller, under contextlib.closing), the pool is closed and
+    joined, not terminated: the tasks in flight run out and every worker
     exits on its own.  A worker killed while it writes a result would
     leave the result queue's lock held and the pool's shutdown stuck.
     """
@@ -141,12 +137,12 @@ def ordered_map(fn, tasks, jobs=1, chunksize=1):
     with Pool(jobs) as pool:
         pending = deque()
         try:
-            for i in range(0, len(tasks), chunksize):
-                pending.append(pool.apply_async(_apply_chunk, (fn, tasks[i:i + chunksize])))
+            for task in tasks:
+                pending.append(pool.apply_async(fn, task))
                 if len(pending) == 2 * jobs:
-                    yield from pending.popleft().get()
+                    yield pending.popleft().get()
             while pending:
-                yield from pending.popleft().get()
+                yield pending.popleft().get()
         finally:
             pool.close()
             pool.join()

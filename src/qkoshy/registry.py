@@ -4,8 +4,12 @@ Each row binds an identity id to a per-cell checker and declares its
 parameters: a floor below which a parameter leaves the identity's
 domain, a default range and a cap, plus at most one predicate over the
 whole cell.  Checkers return None on success or a small dict with
-rendered left/right values and a difference; verify() walks the sorted
-cells, stops at the first counterexample, and wraps the outcome in an
+rendered left/right values and a difference.  verify() hands ordered_map
+one task per column, the sorted cells that share the row's first
+parameter, so what a checker keeps per value of it (T-terms stepped in r,
+a tower table per n) stays in one process, and a box with one value of
+it runs in one process.  The first counterexample ends the run, after the
+at most 2 * jobs columns in flight, and the outcome is wrapped in an
 IdentityReport.  All comparisons are exact; a domain error raised by a
 checker is reported as a failure, never swallowed.  A ScaleLimit (a hard
 enumeration guard, which --force does not lift) and any exception that is
@@ -20,8 +24,9 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import comb, gcd
+from operator import itemgetter
 
 from . import dyckpaths as dp
 from . import partitions as pt
@@ -84,13 +89,8 @@ class Check:
 def _eq(left, right):
     if left == right:
         return None
-    if isinstance(left, Poly) and isinstance(right, Poly):
-        diff = str(left - right)
-    elif isinstance(left, int) and isinstance(right, int):
-        diff = str(left - right)
-    else:
-        diff = "mismatch"
-    return {"left": str(left), "right": str(right), "diff": diff}
+    same_kind = any(isinstance(left, t) and isinstance(right, t) for t in (Poly, int))
+    return _fail(left, right, left - right if same_kind else "mismatch")
 
 
 def _fail(left, right, diff):
@@ -527,17 +527,23 @@ def _at(chk, cell):
     return ", ".join("%s=%s" % kv for kv in zip(chk.params, cell))
 
 
-def _run_one(identity_id, cell):
+def _check_column(identity_id, cells):
+    """Check one column's cells in order and return (cells checked,
+    (cell, failure) or None); the first failing cell ends the column."""
     chk = CHECKS[identity_id]
-    try:
-        return chk.checker(*cell)
-    except ScaleLimit as exc:
-        raise ScaleLimit("%s at %s: %s" % (identity_id, _at(chk, cell), exc)) from exc
-    except QKoshyError as exc:
-        return _fail("exception", "clean evaluation", repr(exc))
-    except Exception as exc:
-        raise QKoshyError("checker of %s crashed at %s: %r"
-                          % (identity_id, _at(chk, cell), exc)) from exc
+    for k, cell in enumerate(cells, 1):
+        try:
+            res = chk.checker(*cell)
+        except ScaleLimit as exc:
+            raise ScaleLimit("%s at %s: %s" % (identity_id, _at(chk, cell), exc)) from exc
+        except QKoshyError as exc:
+            res = _fail("exception", "clean evaluation", repr(exc))
+        except Exception as exc:
+            raise QKoshyError("checker of %s crashed at %s: %r"
+                              % (identity_id, _at(chk, cell), exc)) from exc
+        if res is not None:
+            return k, (cell, res)
+    return len(cells), None
 
 
 def verify(identity_id: str, bounds: dict | None = None, jobs: int = 1,
@@ -571,13 +577,11 @@ def verify(identity_id: str, bounds: dict | None = None, jobs: int = 1,
     t0 = time.perf_counter()
     found = None
     checked = 0
-    chunk = max(1, min(16, len(cells) // (jobs * 4) or 1))
-    tasks = [(identity_id, c) for c in cells]
-    with closing(ordered_map(_run_one, tasks, jobs, chunk)) as results:
-        for cell, res in zip(cells, results):
-            checked += 1
-            if res is not None:
-                found = (cell, res)
+    columns = [(identity_id, list(col)) for _, col in groupby(cells, itemgetter(0))]
+    with closing(ordered_map(_check_column, columns, jobs)) as results:
+        for count, found in results:
+            checked += count
+            if found:
                 break
     elapsed = int((time.perf_counter() - t0) * 1000)
     if not cells:
@@ -585,8 +589,7 @@ def verify(identity_id: str, bounds: dict | None = None, jobs: int = 1,
     elif found:
         cell, res = found
         status = "fail"
-        ce = {"cell": dict(zip(chk.params, cell)),
-              "left": res["left"], "right": res["right"], "diff": res["diff"]}
+        ce = {"cell": dict(zip(chk.params, cell)), **res}
     else:
         status, ce = "pass", None
     return IdentityReport(

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qkoshy import dyckpaths as dp
-from qkoshy import registry
+from qkoshy import qfuncs, registry
 from qkoshy.cli import run
 from qkoshy.errors import DomainError, QKoshyError, ScaleLimit, UnknownIdentity
 from qkoshy.poly import Poly
@@ -373,8 +374,9 @@ def test_jobs_determinism(monkeypatch):
     a, b = payloads("lemma1", {"n": (1, 5), "m": (1, 5)})
     assert a == b
 
-    # a planted failure: 60 cells go to the pool in chunks of 5, and the
-    # report names the first failing cell in sorted order either way
+    # a planted failure: koshy's 60 one-cell columns go to the pool one
+    # task each, and the report names the first failing cell in sorted
+    # order either way
     orig = registry.CHECKS["koshy"]
 
     def bad(n):
@@ -387,3 +389,102 @@ def test_jobs_determinism(monkeypatch):
     assert a == b
     assert a["counterexample"]["cell"] == {"n": 7}
     assert a["cells_checked"] == 7
+
+
+def _box_cells(ident, bounds):
+    chk = registry.CHECKS[ident]
+    return chk.cells({**{k: (lo, hi) for k, (_, lo, hi, _) in chk.params.items()}, **bounds})
+
+
+def _recorded_tasks(monkeypatch, ident, bounds, jobs=2):
+    """The one ordered_map call of verify(ident, bounds, jobs), run in
+    process, and the report."""
+    calls = []
+    real = registry.ordered_map
+
+    def recorder(fn, tasks, jobs=1):
+        calls.append((fn, tasks, jobs))
+        return real(fn, tasks, 1)
+
+    monkeypatch.setattr(registry, "ordered_map", recorder)
+    rep = registry.verify(ident, bounds=bounds, jobs=jobs)
+    [(fn, tasks, got_jobs)] = calls
+    assert fn is registry._check_column and got_jobs == jobs
+    return tasks, rep
+
+
+@pytest.mark.parametrize("ident,bounds", [
+    ("koshy", {"n": (1, 9)}),
+    ("t-forms", {"n": (1, 9)}),
+    ("tj-poly", {"n": (1, 9), "j": (1, 3)}),
+])
+def test_one_task_per_first_parameter(monkeypatch, ident, bounds):
+    tasks, rep = _recorded_tasks(monkeypatch, ident, bounds)
+    cells = _box_cells(ident, bounds)
+    assert cells == sorted(cells)
+    assert [t[0] for t in tasks] == [ident] * len(tasks)
+    assert [col[0][0] for _, col in tasks] == sorted({c[0] for c in cells})
+    assert all(len({c[0] for c in col}) == 1 for _, col in tasks)
+    assert [c for _, col in tasks for c in col] == cells
+    assert rep.status == "pass" and rep.cells_checked == len(cells)
+
+
+FAIL = {"left": "1", "right": "0", "diff": "1"}
+
+
+def test_failure_mid_column_is_the_same_at_any_jobs(monkeypatch):
+    # (7, 3) is the third of column n = 7's four cells, after 12 cells of
+    # earlier columns; the pool may run later columns, whose failure at
+    # (9, 1) must not be the one reported
+    orig = registry.CHECKS["t-forms"]
+    monkeypatch.setitem(registry.CHECKS, "t-forms", dataclasses.replace(
+        orig, checker=lambda n, r: FAIL if (n, r) in ((7, 3), (9, 1)) else None))
+    reports = []
+    for jobs in (1, 2):
+        d = registry.verify("t-forms", bounds={"n": (1, 12)}, jobs=jobs).to_dict()
+        d.pop("elapsed_ms")
+        reports.append(d)
+    assert reports[0] == reports[1]
+    assert reports[0]["counterexample"] == {"cell": {"n": 7, "r": 3}, **FAIL}
+    assert reports[0]["cells_checked"] == 15
+
+
+def test_column_stops_at_its_first_failure(monkeypatch):
+    seen = []
+
+    def bad(n, r):
+        seen.append((n, r))
+        if r == 3:
+            raise DomainError("planted")
+        return FAIL if r == 2 else None
+
+    orig = registry.CHECKS["t-forms"]
+    monkeypatch.setitem(registry.CHECKS, "t-forms", dataclasses.replace(orig, checker=bad))
+    column = [(7, r) for r in range(1, 5)]
+    assert registry._check_column("t-forms", column) == (2, ((7, 2), FAIL))
+    assert seen == [(7, 1), (7, 2)]
+    # a qkoshy error is a failure of its cell and ends the column too
+    count, (cell, res) = registry._check_column("t-forms", column[2:])
+    assert (count, cell, res["left"]) == (1, (7, 3), "exception")
+    assert seen[2:] == [(7, 3)]
+    assert registry._check_column("t-forms", column[3:]) == (1, None)
+
+
+def test_a_tj_poly_column_steps_every_term_after_its_first(monkeypatch):
+    # column n = 12 holds 45 cells (12, r, j), j = 1..6 running fastest;
+    # run on its own with nothing held, it builds one term per j and steps
+    # every other from its r - 1, so a column split anywhere builds more
+    tasks, _ = _recorded_tasks(monkeypatch, "tj-poly", {"n": (11, 13)})
+    [(ident, cells)] = [t for t in tasks if t[1][0][0] == 12]
+    assert cells == [c for c in _box_cells("tj-poly", {"n": (11, 13)}) if c[0] == 12]
+    assert len(cells) == 45
+    counts = Counter()
+    for name in ("_direct_term", "t_step"):
+        def counted(*args, _real=getattr(qfuncs, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(qfuncs, name, counted)
+    monkeypatch.setattr(qfuncs, "_held", {})
+    assert registry._check_column(ident, cells) == (45, None)
+    assert counts == {"_direct_term": 6, "t_step": 39}
