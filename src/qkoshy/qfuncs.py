@@ -5,12 +5,15 @@ genuinely a quotient).  Every quotient here (q-binomial, q-Catalan,
 q-ballot, T-term) has one shape: factors 1 - q^a over factors 1 - q^b,
 and each one is a single poly.q_ratio call on coefficient lists; a
 division by [k]_q = (1 - q^k) / (1 - q) is written that way too.
-Gaussian binomials take one factor above and one below per step of the
-product formula, which keeps every intermediate polynomial and costs
+A Gaussian binomial comes one step from a built neighbour: its mirror
+[m choose m-k] costs nothing, and [m-1 choose k-1], [m-1 choose k] or
+[m choose k-1] cost one factor above and one below.  Only a binomial
+with none of these built runs the product formula, one such factor pair
+per step, which keeps every intermediate polynomial and costs
 O(k * deg).  Only the cyclotomic divisors go through long division
-(exact_div).  A small LRU holds recent results.  The test suite
-cross-checks them coefficient for coefficient against an independent
-Pascal-recurrence construction.
+(exact_div).  The test suite cross-checks the binomials coefficient for
+coefficient against an independent Pascal-recurrence construction, in
+several build orders.
 
 The alternating T-terms are stepped in r rather than built afresh: the
 ratio of consecutive terms is a product of three factors 1 - q^a over
@@ -59,20 +62,57 @@ def one_minus_q_to(k: int) -> Poly:
     return Poly._raw((1,) + (0,) * (k - 1) + (-1,))
 
 
+# Every binomial built, keyed (m, min(k, m - k)): the very Poly that
+# q_binomial's cache returns, so a mirror request shares it.  First-in
+# eviction at the cache's size.
+_BUILT_CAP = 8192
+_built = {}
+
+
+def _pascal_steps(m, k):
+    """For 1 <= k <= m - k: the keys of [m-1 choose k-1], [m-1 choose k]
+    and [m choose k-1], in the order they are tried, each with the
+    exponents of the factors 1 - q^a above and 1 - q^b below that carry
+    it to [m choose k]_q."""
+    return (((m - 1, k - 1), (m,), (k,)),
+            ((m - 1, min(k, m - 1 - k)), (m,), (m - k,)),
+            ((m, k - 1), (m - k + 1,), (k,)))
+
+
 @lru_cache(maxsize=8192)
 def q_binomial(m: int, k: int) -> Poly:
-    """Gaussian binomial [m choose k]_q, degree k(m-k); zero out of range."""
+    """Gaussian binomial [m choose k]_q, degree k(m-k); zero out of range.
+
+    With k taken as min(k, m - k): a built [m choose k] (the mirror of
+    the request when k was larger) is returned as it is; otherwise it is
+    one q_ratio step from the first built of [m-1 choose k-1],
+    [m-1 choose k] and [m choose k-1]; otherwise the product formula.
+    """
     if m < 0:
         raise DomainError("q_binomial needs m >= 0")
     if k < 0 or k > m:
         return Poly.zero()
     k = min(k, m - k)
-    out = (1,)
-    what = "[%d choose %d]_q" % (m, k)
-    for t in range(1, k + 1):
-        # partial product stays the polynomial [m-k+t choose t]_q
-        out = q_ratio(out, (m - k + t,), (t,), what)
-    return Poly._raw(out)
+    if k == 0:
+        # no step to take, so it stays out of the table
+        return Poly.one()
+    out = _built.get((m, k))
+    if out is None:
+        what = "[%d choose %d]_q" % (m, k)
+        for key, tops, bottoms in _pascal_steps(m, k):
+            near = _built.get(key)
+            if near is not None:
+                c = q_ratio(near.coeffs, tops, bottoms, what)
+                break
+        else:
+            c = (1,)
+            for t in range(1, k + 1):
+                # partial product stays the polynomial [m-k+t choose t]_q
+                c = q_ratio(c, (m - k + t,), (t,), what)
+        out = _built[(m, k)] = Poly._raw(c)
+        if len(_built) > _BUILT_CAP:
+            del _built[next(iter(_built))]
+    return out
 
 
 def catalan(n: int) -> int:

@@ -344,6 +344,34 @@ def test_shift_and_substitutions():
     assert Poly(0, 1).negate_q() == Poly(0, -1)
 
 
+def old_subs_power(p, k):
+    """q -> q^k as one coefficient at a time, the definition the slice
+    assignment in Poly.subs_power replaced."""
+    if k == 1 or not p.coeffs:
+        return p
+    out = [0] * ((len(p.coeffs) - 1) * k + 1)
+    for i, c in enumerate(p.coeffs):
+        out[i * k] = c
+    return Poly(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff_lists, st.integers(1, 5))
+def test_subs_power_matches_the_coefficient_loop(c, k):
+    p = Poly(c)
+    assert p.subs_power(k) == old_subs_power(p, k)
+
+
+def test_subs_power_edges():
+    rng = random.Random(7)
+    p = Poly([rng.randint(-5, 5) for _ in range(12)] + [1])
+    assert p.subs_power(1) is p
+    assert Poly.zero().subs_power(3) == Poly.zero()
+    assert p.subs_power(3) == old_subs_power(p, 3)
+    with pytest.raises(DomainError):
+        p.subs_power(0)
+
+
 def test_shape_report():
     s = shape(Poly(1, 2, 3, 2, 1))
     assert s.is_nonnegative and s.is_reciprocal and s.is_unimodal

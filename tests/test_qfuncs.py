@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qkoshy import qfuncs, registry
 from qkoshy.cli import run
-from qkoshy.errors import DomainError
+from qkoshy.errors import DivisionInexact, DomainError
 from qkoshy.poly import Poly, RationalForm, exact_div, rational_equal, shape
 from qkoshy.qfuncs import (
     ballot_number,
@@ -120,6 +120,132 @@ def test_pascal_recurrence_agrees():
             assert pascal_q_binomial(m, k) == q_binomial(m, k)
     for m, k in ((30, 12), (41, 20), (60, 7)):
         assert pascal_q_binomial(m, k) == q_binomial(m, k)
+
+
+@lru_cache(maxsize=None)
+def pascal_triangle(m_max):
+    """The rows [m choose 0..m]_q for m <= m_max, from pascal_rows."""
+    return tuple(islice(pascal_rows(m_max), m_max + 1))
+
+
+def binomial_mismatches(order):
+    """The cells (m, k) of order, requested in that order from an empty
+    q_binomial cache and table, whose binomial differs from the Pascal
+    oracle or fails to build."""
+    q_binomial.cache_clear()
+    qfuncs._built.clear()
+    rows = pascal_triangle(max(m for m, _ in order))
+    bad = []
+    for m, k in order:
+        try:
+            ok = q_binomial(m, k) == rows[m][k]
+        except DivisionInexact:
+            ok = False
+        if not ok:
+            bad.append((m, k))
+    return bad
+
+
+ORACLE_M = 30
+ROW_MAJOR = [(m, k) for m in range(ORACLE_M + 1) for k in range(m + 1)]
+COLUMN_MAJOR = [(m, k) for k in range(ORACLE_M + 1) for m in range(k, ORACLE_M + 1)]
+MIRROR_FIRST = ([(m, k) for m, k in ROW_MAJOR if 2 * k > m]
+                + [(m, k) for m, k in ROW_MAJOR if 2 * k <= m])
+SHUFFLED = random.Random(2013).sample(ROW_MAJOR, len(ROW_MAJOR))
+BUILD_ORDERS = {"row-major": ROW_MAJOR, "column-major": COLUMN_MAJOR,
+                "mirror-first": MIRROR_FIRST, "shuffled": SHUFFLED}
+
+
+@pytest.fixture
+def fresh_binomials(monkeypatch):
+    """q_binomial with an empty cache and an empty table of built
+    binomials, and its cache emptied again afterwards, so a value built
+    under a planted fault cannot outlive the test."""
+    monkeypatch.setattr(qfuncs, "_built", {})
+    q_binomial.cache_clear()
+    yield
+    q_binomial.cache_clear()
+
+
+@pytest.fixture
+def ratio_calls(monkeypatch, fresh_binomials):
+    """The (tops, bottoms) of every q_ratio call that qfuncs makes."""
+    calls = []
+    real = qfuncs.q_ratio
+
+    def record(c, tops, bottoms, what):
+        calls.append((tuple(tops), tuple(bottoms)))
+        return real(c, tops, bottoms, what)
+
+    monkeypatch.setattr(qfuncs, "q_ratio", record)
+    return calls
+
+
+@pytest.mark.parametrize("order", BUILD_ORDERS.values(), ids=BUILD_ORDERS.keys())
+def test_q_binomial_whatever_the_build_order(fresh_binomials, order):
+    # each order reaches a cell through other neighbours and mirrors
+    assert binomial_mismatches(order) == []
+
+
+def test_planted_column_step_refutes_the_oracle(monkeypatch, fresh_binomials):
+    # [m-1 choose k] to [m choose k] over 1 - q^k instead of 1 - q^(m-k)
+    def planted(m, k):
+        diagonal, (key, tops, _), row = real(m, k)
+        return diagonal, (key, tops, (k,)), row
+
+    real = qfuncs._pascal_steps
+    monkeypatch.setattr(qfuncs, "_pascal_steps", planted)
+    for name, order in BUILD_ORDERS.items():
+        assert binomial_mismatches(order), name
+
+
+@pytest.mark.parametrize("built,want", [
+    ((11, 3), ((12,), (4,))),      # diagonal [m-1 choose k-1]
+    ((11, 4), ((12,), (8,))),      # column [m-1 choose k]
+    ((12, 3), ((9,), (4,))),       # row [m choose k-1]
+    ((11, 7), ((12,), (8,))),      # the column neighbour's mirror
+])
+def test_a_built_neighbour_costs_one_step(ratio_calls, built, want):
+    q_binomial(*built)
+    ratio_calls.clear()
+    assert q_binomial(12, 4) == pascal_q_binomial(12, 4)
+    assert ratio_calls == [want]
+
+
+def test_a_mirror_costs_nothing_and_shares_the_binomial(ratio_calls):
+    p = q_binomial(12, 4)
+    ratio_calls.clear()
+    assert q_binomial(12, 8) is p
+    assert ratio_calls == []
+    # the table holds the very polynomial, and tuple, the cache returns
+    assert qfuncs._built[(12, 4)] is p
+    assert qfuncs._built[(12, 4)].coeffs is q_binomial(12, 4).coeffs
+
+
+def test_no_built_neighbour_runs_the_product_formula(ratio_calls):
+    assert q_binomial(20, 13) == pascal_q_binomial(20, 13)
+    assert len(ratio_calls) == 7
+    ratio_calls.clear()
+    assert q_binomial(20, 0) == q_binomial(20, 20) == Poly.one()
+    assert ratio_calls == []
+
+
+def test_rows_cost_one_step_per_binomial(ratio_calls):
+    cells = [(m, k) for m in range(41) for k in range(m + 1)]
+    for m, k in cells:
+        q_binomial(m, k)
+    keys = {(m, min(k, m - k)) for m, k in cells}
+    assert len(ratio_calls) <= len(keys)
+    # building each cell afresh by the product formula costs this many
+    assert len(keys) < sum(min(k, m - k) for m, k in cells)
+
+
+def test_built_table_stays_within_its_cap(monkeypatch, fresh_binomials):
+    monkeypatch.setattr(qfuncs, "_BUILT_CAP", 5)
+    rows = pascal_triangle(ORACLE_M)
+    for m, k in SHUFFLED:
+        assert q_binomial(m, k) == rows[m][k], (m, k)
+        assert len(qfuncs._built) <= 5
 
 
 def test_one_minus_q_to_domain():
