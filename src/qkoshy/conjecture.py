@@ -123,15 +123,16 @@ def ordered_map(fn, tasks, jobs=1):
     """Yield fn(*task) for each task, in task order.
 
     With jobs <= 1 or at most one task this is a plain map in this
-    process; otherwise each task goes to a pool of jobs worker processes
-    on its own, with at most 2 * jobs tasks in flight.  However the
-    generator ends (exhausted, a task's error, or closed early by a break
-    in the caller, under contextlib.closing), the pool is closed and
-    joined, not terminated: the tasks in flight run out and every worker
-    exits on its own.  A worker killed while it writes a result would
+    process; otherwise each task goes to a pool of min(jobs, len(tasks))
+    worker processes on its own, with at most twice that many tasks in
+    flight.  However the generator ends (exhausted, a task's error, or
+    closed early by a break in the caller, under contextlib.closing), the
+    pool is closed and joined, not terminated: the tasks in flight run out
+    and every worker exits on its own.  A worker killed while it writes a result would
     leave the result queue's lock held and the pool's shutdown stuck.
     """
-    if jobs <= 1 or len(tasks) <= 1:
+    jobs = min(jobs, len(tasks))
+    if jobs <= 1:
         yield from starmap(fn, tasks)
         return
     with Pool(jobs) as pool:
@@ -343,10 +344,10 @@ def sweep(
     Cells already inside the verified box of an existing frontier file are
     skipped, so repeated runs extend coverage instead of repeating it.  The
     persisted box only ever grows: if neither the old box nor the new grid
-    contains the other, the one covering more cells is kept, since the
-    frontier records a single fully swept rectangle.  A grid without cells
-    (even-n with j_max < 2, say) is reported as skipped and writes no
-    frontier file.
+    contains the other, the one covering more cells is kept (the old one
+    on a tie), since the frontier records a single fully swept rectangle.
+    A grid without cells (even-n with j_max < 2, say) is reported as
+    skipped and writes no frontier file.
     """
     if case not in CASES:
         raise DomainError("unknown conjecture case %r" % (case,))
@@ -378,28 +379,16 @@ def sweep(
         late.extend(consequences)
     bad.extend(late)
 
-    if prior is None:
-        frontier = {
-            "case": case,
-            "verified": dict(grid),
-            "counterexamples": list(bad),
-        }
-    else:
-        old_box = prior["verified"]
-        keys = ("m_max", "n_max", "j_max")
-        if all(grid[k] >= old_box[k] for k in keys):
-            box = dict(grid)
-        elif all(old_box[k] >= grid[k] for k in keys):
-            box = dict(old_box)
-        elif _box_cells(case, grid) > _box_cells(case, old_box):
-            box = dict(grid)
-        else:
-            box = dict(old_box)
-        frontier = {
-            "case": case,
-            "verified": box,
-            "counterexamples": _merge_counterexamples(prior["counterexamples"], bad),
-        }
+    # with no prior frontier the grid stands in for the old box
+    old = prior or {"verified": grid, "counterexamples": []}
+    box = old["verified"]
+    if all(grid[k] >= box[k] for k in grid) or _box_cells(case, grid) > _box_cells(case, box):
+        box = grid
+    frontier = {
+        "case": case,
+        "verified": dict(box),
+        "counterexamples": _merge_counterexamples(old["counterexamples"], bad),
+    }
     if frontier_path is not None and not empty:
         _write_frontier(frontier_path, frontier)
 

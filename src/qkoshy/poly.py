@@ -25,8 +25,9 @@ and T-term quotient is built from, has its own two kernels on
 coefficient lists: multiplying by it is one shifted subtract, and
 dividing by it is one prefix sum over each residue class modulo a.
 q_ratio runs every quotient of factors 1 - q^a by factors 1 - q^b on
-them, and Poly.__mul__ sends a factor 1 - q^a to the first.  exact_div
-is long division, left for the other divisors (the cyclotomic ones).
+them, and Poly.__mul__ sends a right-hand factor 1 - q^a to the first.
+exact_div is long division, left for the other divisors (the cyclotomic
+ones).
 """
 
 from __future__ import annotations
@@ -177,8 +178,6 @@ class Poly:
         nb = len(b) - b.count(0)
         if nb == 2 and b[0] == 1 and b[-1] == -1:
             return Poly._raw(_mul_one_minus(a, len(b) - 1))
-        if na == 2 and a[0] == 1 and a[-1] == -1:
-            return Poly._raw(_mul_one_minus(b, len(a) - 1))
         if min(na, nb) <= _SPARSE_CUTOFF:
             return Poly._raw(_mul_sparse(a, b, na, nb))
         return Poly._raw(_mul_kronecker(a, b))

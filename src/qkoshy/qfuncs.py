@@ -6,14 +6,13 @@ q-ballot, T-term) has one shape: factors 1 - q^a over factors 1 - q^b,
 and each one is a single poly.q_ratio call on coefficient lists; a
 division by [k]_q = (1 - q^k) / (1 - q) is written that way too.
 A Gaussian binomial comes one step from a built neighbour: its mirror
-[m choose m-k] costs nothing, and [m-1 choose k-1], [m-1 choose k] or
-[m choose k-1] cost one factor above and one below.  Only a binomial
-with none of these built runs the product formula, one such factor pair
-per step, which keeps every intermediate polynomial and costs
-O(k * deg).  Only the cyclotomic divisors go through long division
-(exact_div).  The test suite cross-checks the binomials coefficient for
-coefficient against an independent Pascal-recurrence construction, in
-several build orders.
+[m choose m-k] costs nothing, and [m-1 choose k-1] or [m-1 choose k]
+cost one factor above and one below.  Only a binomial with neither of
+these built runs the product formula, one such factor pair per step,
+which keeps every intermediate polynomial and costs O(k * deg).  Only
+the cyclotomic divisors go through long division (exact_div).  The test
+suite cross-checks the binomials coefficient for coefficient against an
+independent Pascal-recurrence construction, in several build orders.
 
 The alternating T-terms are stepped in r rather than built afresh: the
 ratio of consecutive terms is a product of three factors 1 - q^a over
@@ -70,13 +69,12 @@ _built = {}
 
 
 def _pascal_steps(m, k):
-    """For 1 <= k <= m - k: the keys of [m-1 choose k-1], [m-1 choose k]
-    and [m choose k-1], in the order they are tried, each with the
-    exponents of the factors 1 - q^a above and 1 - q^b below that carry
-    it to [m choose k]_q."""
+    """For 1 <= k <= m - k: the keys of [m-1 choose k-1] and
+    [m-1 choose k], in the order they are tried, each with the exponents
+    of the factors 1 - q^a above and 1 - q^b below that carry it to
+    [m choose k]_q."""
     return (((m - 1, k - 1), (m,), (k,)),
-            ((m - 1, min(k, m - 1 - k)), (m,), (m - k,)),
-            ((m, k - 1), (m - k + 1,), (k,)))
+            ((m - 1, min(k, m - 1 - k)), (m,), (m - k,)))
 
 
 @lru_cache(maxsize=8192)
@@ -85,8 +83,8 @@ def q_binomial(m: int, k: int) -> Poly:
 
     With k taken as min(k, m - k): a built [m choose k] (the mirror of
     the request when k was larger) is returned as it is; otherwise it is
-    one q_ratio step from the first built of [m-1 choose k-1],
-    [m-1 choose k] and [m choose k-1]; otherwise the product formula.
+    one q_ratio step from the first built of [m-1 choose k-1] and
+    [m-1 choose k]; otherwise the product formula.
     """
     if m < 0:
         raise DomainError("q_binomial needs m >= 0")
@@ -290,13 +288,11 @@ def _direct_term(r, n, j, quotient):
 
 def _held_term(r, n, j, quotient):
     """The coefficient list of q^-(r^2-r) T_r^(j)(n) when quotient, else of
-    P_r(n, j): the held term itself when it is r, one t_step from it when
-    it is r - 1, and otherwise built directly.  It is held in its place."""
+    P_r(n, j): one t_step from the held term when that is r - 1, and
+    otherwise built directly.  It is held in its place."""
     key = (n, j, quotient)
     held = _held.pop(key, None)
-    if held is not None and held[0] == r:
-        c = held[1]
-    elif held is not None and held[0] == r - 1:
+    if held is not None and held[0] == r - 1:
         c = t_step(held[1], r - 1, n, j)
     else:
         c = _direct_term(r, n, j, quotient)

@@ -207,6 +207,30 @@ def test_frontier_extension(tmp_path):
     assert json.loads(Path(fp).read_text())["verified"]["n_max"] == 13
 
 
+@pytest.mark.parametrize("case,old,grid,kept", [
+    ("odd-n", (6, 7, 10), (9, 3, 10), (9, 3, 10)),     # 12 cells against 16
+    ("odd-n", (9, 3, 10), (6, 7, 10), (9, 3, 10)),     # 16 cells against 12
+    ("odd-n", (8, 1, 10), (5, 3, 2), (8, 1, 10)),      # 8 cells each
+    ("even-n", (10, 4, 4), (8, 6, 6), (8, 6, 6)),      # 32 cells against 45
+    ("even-n", (10, 4, 4), (12, 4, 2), (10, 4, 4)),    # 32 cells against 20
+    ("even-n", (10, 4, 2), (9, 2, 4), (10, 4, 2)),     # 16 cells each
+], ids=["odd-grid-wins", "odd-old-wins", "odd-tie", "even-grid-wins", "even-old-wins",
+        "even-tie"])
+def test_frontier_keeps_the_box_with_more_cells(tmp_path, case, old, grid, kept):
+    # neither box contains the other: the one with more cells is kept,
+    # and a tie keeps the old box
+    keys = ("m_max", "n_max", "j_max")
+    old_box, grid_box, kept_box = (dict(zip(keys, b)) for b in (old, grid, kept))
+    assert not all(grid_box[k] >= old_box[k] for k in keys)
+    assert not all(old_box[k] >= grid_box[k] for k in keys)
+    fp = str(tmp_path / "frontier.json")
+    cj.sweep(case, *old, frontier_path=fp)
+    rep = cj.sweep(case, *grid, frontier_path=fp)
+    want = {"case": case, "verified": kept_box, "counterexamples": []}
+    assert rep.to_dict()["frontier"] == want
+    assert json.loads(Path(fp).read_text()) == want
+
+
 def test_frontier_case_clash(tmp_path):
     fp = str(tmp_path / "frontier.json")
     cj.sweep("odd-n", 3, 3, frontier_path=fp)
@@ -337,6 +361,10 @@ def test_early_close_lets_every_worker_exit(monkeypatch):
     workers = list(pools[0]._pool)
     results.close()
     assert [w.exitcode for w in workers] == [0, 0]
+    # no more workers than tasks
+    assert list(cj.ordered_map(pow, [(2, 3), (3, 2)], jobs=8)) == [8, 9]
+    assert len(pools) == 2
+    assert len(pools[1]._pool) == 2
 
 
 def test_verdict_the_scan_does_not_confirm_is_an_error(monkeypatch):

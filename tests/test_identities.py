@@ -213,18 +213,35 @@ def test_checker_crash_is_an_error_not_a_failure(monkeypatch, capsys, jobs):
      "1 + 3*q - q^2 - 2*q^3 + q^4", "nonnegative coefficients", "coefficient -1 at q^2"),
     ("tj-negq", {"r": (1, 1), "j": (1, 1)}, {"r": 1, "j": 1},
      "1 - 2*q - 3*q^2 - q^3", "positive polynomial", "coefficient -2 at q^1"),
+    # a planted zero meets the vanishing guards
+    ("theorem1-even", {"n": (2, 4), "r": (1, 1)}, {"n": 4, "r": 1},
+     "0", "nonzero", "term vanished on an admissible cell"),
+    ("theorem1-odd", {"n": (1, 3), "r": (1, 1)}, {"n": 3, "r": 1},
+     "0", "nonzero", "term vanished on an admissible cell"),
+    ("tj-negq", {"r": (1, 1), "j": (1, 1)}, {"r": 1, "j": 1},
+     "0", "positive polynomial", "vanished"),
+    ("cyclo-div", {"n": (2, 4), "r": (1, 2)}, {"n": 4, "r": 1},
+     "0", "nonzero", "binomial vanished on an admissible cell"),
 ])
-def test_negative_coefficient_is_reported(monkeypatch, identity, bounds, cell, left, right,
-                                          diff):
-    real = registry.t_term_poly
+def test_negative_coefficient_is_reported(monkeypatch, capsys, identity, bounds, cell, left,
+                                          right, diff):
+    value = Poly.zero() if left == "0" else Poly(1, 2, -3, 1)
+    if identity == "cyclo-div":
+        # the cell's binomial [2n - 2r choose n - 1]_q
+        name, at = "q_binomial", (2 * cell["n"] - 2 * cell["r"], cell["n"] - 1)
+    else:
+        name, at = "t_term_poly", (1, cell.get("n", 1))
+    real = getattr(registry, name)
 
-    def planted(r, n, j):
-        return Poly(1, 2, -3, 1) if (r, n) == (1, cell.get("n", 1)) else real(r, n, j)
+    def planted(*args):
+        return value if args[:2] == at else real(*args)
 
-    monkeypatch.setattr(registry, "t_term_poly", planted)
-    rep = registry.verify(identity, bounds=bounds)
-    assert rep.status == "fail"
-    assert rep.counterexample == {"cell": cell, "left": left, "right": right, "diff": diff}
+    monkeypatch.setattr(registry, name, planted)
+    args = [x for k, (lo, hi) in bounds.items() for x in ("--" + k, "%d..%d" % (lo, hi))]
+    assert run(["verify", "--id", identity] + args + ["--format", "json", "--jobs", "1"]) == 1
+    d = json.loads(capsys.readouterr().out)
+    assert d["status"] == "fail"
+    assert d["counterexample"] == {"cell": cell, "left": left, "right": right, "diff": diff}
 
 
 def _merged_images(forward):

@@ -140,7 +140,7 @@ def test_mul_one_minus_kernel_matches_sparse(c, a):
     if c:
         assert got == poly._mul_sparse(tuple(c), b, len(c) - c.count(0), 2)
     assert poly._trim(got) == tuple(ref_convolve(c, list(b)))
-    # Poly.__mul__ sends 1 - q^a on either side to the kernel
+    # Poly.__mul__ gives the kernel's coefficients on either side
     assert (Poly(c) * Poly(b)).coeffs == (Poly(b) * Poly(c)).coeffs == poly._trim(got)
 
 
