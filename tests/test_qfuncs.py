@@ -202,6 +202,7 @@ def test_planted_column_step_refutes_the_oracle(monkeypatch, fresh_binomials):
 @pytest.mark.parametrize("built,want", [
     ((11, 3), ((12,), (4,))),      # diagonal [m-1 choose k-1]
     ((11, 4), ((12,), (8,))),      # column [m-1 choose k]
+    ((11, 8), ((12,), (4,))),      # the diagonal neighbour's mirror
     ((11, 7), ((12,), (8,))),      # the column neighbour's mirror
 ])
 def test_a_built_neighbour_costs_one_step(ratio_calls, built, want):
