@@ -6,9 +6,11 @@ Two one-parameter families of polynomials are conjectured unimodal:
   even-n:  (1 + q^n) * [j]_q * qbinom(m, n-1)   for even n, even j >= 2
 
 Both families are reciprocal by construction, so reciprocality is asserted
-on every cell as a sanity check rather than swept for.  A reciprocal
-polynomial is unimodal exactly when it does not decrease up to its centre,
-which is how each cell is judged (see _sweep_column).  A sweep never stops
+on every row of cells, on its column binomial, as a sanity check rather
+than swept for.  A reciprocal polynomial is unimodal exactly when it does
+not decrease up to its centre, which is how each cell is judged, from the
+lower half of (1 + q^n) * qbinom(m, n-1); for even-n two such scans judge
+every even j at once (see _sweep_column).  A sweep never stops
 at the first hit: it walks the whole requested grid and reports every
 violating cell, because a refutation is the interesting outcome here.
 
@@ -34,14 +36,15 @@ from itertools import starmap
 from operator import add, ge
 
 from .errors import DivisionInexact, DomainError, InvariantViolation
-from .poly import Poly, q_ratio, shape, unimodal_break_index
-from .qfuncs import q_binomial, q_int, t_term_poly
+from .poly import Poly, first_negative, q_ratio, unimodal_break_index
+from .qfuncs import keep_binomial, q_binomial, q_int, t_term_poly
 
 CASES = ("odd-n", "even-n")
 
 # at n = 150 the cell polynomials top out around degree 5700 with ~150-bit
-# coefficients; each default sweep takes seconds on one core, since no
-# cell polynomial is built unless the cell fails
+# coefficients; each default sweep takes seconds on one core, since a
+# cell is judged from half of (1 + q^n) * qbinom(m, n-1), and neither the
+# whole of that nor any cell polynomial is built unless the cell fails
 DEFAULT_M_MAX = 150
 DEFAULT_N_MAX = 150
 DEFAULT_J_MAX = 10
@@ -149,9 +152,10 @@ def ordered_map(fn, tasks, jobs=1):
             pool.join()
 
 
-def _rises_to_centre(p, j):
-    """Whether P * [j]_q is unimodal, for the coefficient list p of a
-    palindrome P of degree D with p[0] != 0.
+def _rises_to_centre(p, j, d=None):
+    """Whether P * [j]_q is unimodal, for a palindrome P of degree D with
+    P_0 != 0, given as its coefficients P_0 .. P_k in the list p, where D
+    is d (len(p) - 1 when d is None) and k >= min(D, (D + j - 1) // 2).
 
     The product c is a palindrome of degree D + j - 1, so it is unimodal
     exactly when it does not decrease up to its centre.  Since
@@ -159,9 +163,40 @@ def _rises_to_centre(p, j):
     P_i >= P_{i-j} for 1 <= i <= (D + j - 1) // 2, with P_k = 0 outside
     0..D, which is one comparison of P with itself shifted by j.
     """
-    h = (len(p) + j - 2) // 2
-    ext = [0] * j + p + [0] * max(0, h + 1 - len(p))
-    return all(map(ge, ext[j + 1 : j + h + 1], ext[1 : h + 1]))
+    if d is None:
+        d = len(p) - 1
+    h = (d + j - 1) // 2
+    ext = [0] * j + p[: h + 1]
+    ext += [0] * (j + h + 1 - len(ext))
+    return all(map(ge, ext[j + 1 :], ext[1 : h + 1]))
+
+
+def _rises_for_every_even_j(p, d):
+    """Whether P * [j]_q is unimodal for every even j >= 2, for P, p and d
+    as in _rises_to_centre with k >= (d + 1) // 2: one comparison at j = 2,
+    and one at j = 1 when d is odd.
+
+    P * [j]_q is unimodal exactly when P_i >= P_{i-j} for every i up to
+    (d + j - 1) // 2.  For i <= (d + 1) // 2 the steps of 2 from i - j up
+    to i give that.  For a larger i, P_i = P_{d-i} with i - j <= d - i <
+    (d - 1) / 2, and d - i - (i - j) has the parity of d: steps of 2 lead
+    from i - j to d - i when d is even, and when d is odd one step of 1
+    is needed as well.  Conversely, a j that fails exists when one of the
+    two comparisons fails: j = 2, or, for a first drop P_i < P_{i-1} with
+    i <= (d - 1) / 2, j = d - 2i + 1 at index d - i.
+    """
+    return _rises_to_centre(p, 2, d) and (d % 2 == 0 or _rises_to_centre(p, 1, d))
+
+
+def _half_cell(binom, n):
+    """P_0 .. P_c of P = (1 + q^n) * B, for the coefficient list B of the
+    column binomial, with c = ceil(deg P / 2): all of P that the verdict
+    of a cell reads."""
+    c = (len(binom) + n) // 2
+    half = binom[: c + 1]
+    half += [0] * (c + 1 - len(half))
+    half[n:] = map(add, half[n:], binom)
+    return half
 
 
 def _sweep_column(case, n, m_max, j_max, skip):
@@ -174,21 +209,32 @@ def _sweep_column(case, n, m_max, j_max, skip):
 
     Each m step advances the column binomial B = [m choose n-1]_q on its
     coefficient list by the ratio (1 - q^m) / (1 - q^(m-n+1)), one q_ratio
-    call, then forms P = (1 + q^n) * B.  The reciprocity check
-    on P stands for every cell of the row, since [j]_q is a nonzero
-    palindrome, and each cell's verdict is one self-comparison of P
-    (_rises_to_centre; odd-n is j = 1).  Only a failing cell builds its
-    polynomial, with conjecture_poly and so apart from the stepped list;
-    a scan of it gives the break index of its record, and a scan that
-    finds no break means the stepping or the verdict is broken.  The
-    consequence cells take r = 1, 2, ... in turn, so t_term_poly steps
-    each T_r(n) from T_{r-1}(n) (qfuncs.t_step) instead of building it.
+    call.  P = (1 + q^n) * B is a palindrome exactly when B is, since
+    B_0 = 1, and P [j]_q is one when P is, so the reciprocity check on B
+    stands for every cell of the row.  The row is judged from the lower
+    half of P alone (_half_cell) by self-comparisons of it
+    (_rises_to_centre): odd-n is j = 1, and for even-n two comparisons
+    judge every even j at once (_rises_for_every_even_j).  Only a row
+    that fails builds the whole of P and judges each j of it on its own,
+    and only a failing cell builds its polynomial, with conjecture_poly
+    and so apart from the stepped list; a scan of it gives the break
+    index of its record, and a scan that finds no break means the
+    stepping or the verdict is broken.
+
+    The consequence cells take r = 1, 2, ... in turn, so t_term_poly
+    steps each T_r(n) from T_{r-1}(n) (qfuncs.t_step) instead of building
+    it.  T_1(n) is built from [2n-2 choose n-1]_q, which the column hands
+    to q_binomial's table (keep_binomial) when it passes m = 2n-2.  A
+    term is judged by its signs alone (first_negative).
     """
     jays = (None,) if case == "odd-n" else tuple(range(2, j_max + 1, 2))
     start = n
     if skip is not None and n <= skip["n_max"]:
         if all(j is None or j <= skip["j_max"] for j in jays):
             start = max(skip["m_max"] + 1, n)
+    consequence = case == "odd-n" and n <= min(m_max, CONSEQUENCE_N_CAP) and not (
+        skip is not None and n <= min(skip["m_max"], skip["n_max"])
+    )
     checked = 0
     bad = []
     binom = None
@@ -202,18 +248,24 @@ def _sweep_column(case, n, m_max, j_max, skip):
                 raise InvariantViolation(
                     "column n=%d: 1 - q^%d does not divide at m=%d" % (n, m - n + 1, m)
                 ) from None
+        if consequence and m == 2 * n - 2:
+            keep_binomial(m, n - 1, binom)
         todo = [j for j in jays if not _covered(skip, m, n, j)]
         if not todo:
             continue
-        p = binom + [0] * n
-        p[n:] = map(add, p[n:], binom)
-        if p != p[::-1]:
+        if binom != binom[::-1]:
             # construction guarantees this; a miss means broken arithmetic
             raise InvariantViolation(
                 "cell m=%d n=%d j=%r is not reciprocal" % (m, n, todo[0])
             )
+        checked += len(todo)
+        d = len(binom) - 1 + n
+        half = _half_cell(binom, n)
+        if _rises_to_centre(half, 1, d) if case == "odd-n" else _rises_for_every_even_j(half, d):
+            continue
+        p = binom + [0] * n
+        p[n:] = map(add, p[n:], binom)
         for j in todo:
-            checked += 1
             if _rises_to_centre(p, j or 1):
                 continue
             cell = conjecture_poly(case, m, n, j)
@@ -227,17 +279,13 @@ def _sweep_column(case, n, m_max, j_max, skip):
                 params["j"] = j
             bad.append(_cell_record(params, cell, hit))
     consequences = []
-    if case == "odd-n" and n <= min(m_max, CONSEQUENCE_N_CAP) and not (
-        skip is not None and n <= min(skip["m_max"], skip["n_max"])
-    ):
+    if consequence:
         for r in range(1, (n - 1) // 2 + 1):
             t = t_term_poly(r, n, 1)
             checked += 1
-            sh = shape(t)
-            if not sh.is_nonnegative:
-                consequences.append(
-                    _cell_record({"n": n, "r": r}, t, sh.nonneg_prefix_degree + 1)
-                )
+            i = first_negative(t.coeffs)
+            if i is not None:
+                consequences.append(_cell_record({"n": n, "r": r}, t, i))
     return checked, bad, consequences
 
 

@@ -416,15 +416,18 @@ def shape(a: Poly) -> Shape:
     c = a.coeffs
     if not c:
         return Shape(True, True, True, -1)
-    nonneg = True
-    prefix = len(c) - 1
-    for i, x in enumerate(c):
-        if x < 0:
-            nonneg = False
-            prefix = i - 1
-            break
+    neg = first_negative(c)
     w = c[_lowest(c):]
-    return Shape(nonneg, w == w[::-1], unimodal_break_index(a) is None, prefix)
+    return Shape(neg is None, w == w[::-1], unimodal_break_index(a) is None,
+                 len(c) - 1 if neg is None else neg - 1)
+
+
+def first_negative(c):
+    """Index of the first negative entry of the coefficient sequence c, or
+    None when there is none: one min over c when every entry is >= 0."""
+    if not c or min(c) >= 0:
+        return None
+    return next(i for i, x in enumerate(c) if x < 0)
 
 
 def _lowest(c):

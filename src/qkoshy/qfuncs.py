@@ -9,7 +9,9 @@ A Gaussian binomial comes one step from a built neighbour: its mirror
 [m choose m-k] costs nothing, and [m-1 choose k-1] or [m-1 choose k]
 cost one factor above and one below.  Only a binomial with neither of
 these built runs the product formula, one such factor pair per step,
-which keeps every intermediate polynomial and costs O(k * deg).  Only
+which keeps every intermediate polynomial and costs O(k * deg).  A
+caller that has built a binomial by other means hands it over
+(keep_binomial), as a sweep column does.  Only
 the cyclotomic divisors go through long division (exact_div).  The test
 suite cross-checks the binomials coefficient for coefficient against an
 independent Pascal-recurrence construction, in several build orders.
@@ -107,7 +109,19 @@ def q_binomial(m: int, k: int) -> Poly:
             for t in range(1, k + 1):
                 # partial product stays the polynomial [m-k+t choose t]_q
                 c = q_ratio(c, (m - k + t,), (t,), what)
-        out = _built[(m, k)] = Poly._raw(c)
+        out = keep_binomial(m, k, c)
+    return out
+
+
+def keep_binomial(m, k, coeffs):
+    """The built [m choose k]_q, for 1 <= k < m: the one in the table, or
+    else coeffs, its coefficient list, kept there for q_binomial to find
+    (the oldest entry goes past the cap).  A sweep column hands over its
+    [2n-2 choose n-1] this way, the binomial of its first T-term."""
+    key = (m, min(k, m - k))
+    out = _built.get(key)
+    if out is None:
+        out = _built[key] = Poly._raw(coeffs)
         if len(_built) > _BUILT_CAP:
             del _built[next(iter(_built))]
     return out

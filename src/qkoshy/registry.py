@@ -32,8 +32,8 @@ from . import dyckpaths as dp
 from . import partitions as pt
 from .conjecture import ordered_map
 from .errors import DivisionInexact, DomainError, QKoshyError, ScaleLimit, UnknownIdentity
-from .poly import (Poly, RationalForm, exact_div, q_ratio, rational_equal, shape,
-                   unimodal_break_index)
+from .poly import (Poly, RationalForm, exact_div, first_negative, q_ratio, rational_equal,
+                   shape, unimodal_break_index)
 from .qfuncs import (
     ballot_number,
     catalan,
@@ -282,10 +282,10 @@ def _chk_t_forms(n, r):
 
 def _fail_negative(p: Poly, right):
     """A failure naming the first negative coefficient of p, or None."""
-    i = shape(p).nonneg_prefix_degree + 1
-    if i <= p.degree:
-        return _fail(p, right, "coefficient %d at q^%d" % (p.coeffs[i], i))
-    return None
+    i = first_negative(p.coeffs)
+    if i is None:
+        return None
+    return _fail(p, right, "coefficient %d at q^%d" % (p.coeffs[i], i))
 
 
 def _chk_theorem1(n, r):

@@ -190,8 +190,11 @@ def test_criterion_12_conjecture_sweep(all_runs, monkeypatch, tmp_path):
             return 4
         return real(p)
 
-    def planted_verdict(p, j):
-        return tuple(p) != target.coeffs and real_verdict(p, j)
+    def planted_verdict(p, j, d=None):
+        # the verdict is handed the lower half of P, or all of it
+        d = len(p) - 1 if d is None else d
+        hit = d == target.degree and target.coeffs[: len(p)] == tuple(p)
+        return not hit and real_verdict(p, j, d)
 
     monkeypatch.setattr(cj, "unimodal_break_index", planted)
     monkeypatch.setattr(cj, "_rises_to_centre", planted_verdict)

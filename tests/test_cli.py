@@ -372,8 +372,11 @@ def _plant_sweep(mp):
     def planted(p):
         return 4 if p == target else real(p)
 
-    def planted_verdict(p, j):
-        return tuple(p) != target.coeffs and real_verdict(p, j)
+    def planted_verdict(p, j, d=None):
+        # the verdict is handed the lower half of P, or all of it
+        d = len(p) - 1 if d is None else d
+        hit = d == target.degree and target.coeffs[: len(p)] == tuple(p)
+        return not hit and real_verdict(p, j, d)
 
     mp.setattr(cj, "unimodal_break_index", planted)
     mp.setattr(cj, "_rises_to_centre", planted_verdict)

@@ -1,6 +1,6 @@
-import dataclasses
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkoshy.conjecture as cj
+from qkoshy import qfuncs
 from qkoshy.errors import DomainError, InvariantViolation
 from qkoshy.poly import Poly, shape, unimodal_break_index
 from qkoshy.qfuncs import q_binomial, q_int
+
+from oracles import eval_mod, t_term_mod
 
 
 def test_conjecture_poly_frozen():
@@ -102,6 +105,56 @@ def test_criterion_pinned_cells():
     dip = [2, 1, 1, 2]
     assert [cj._rises_to_centre(dip, j) for j in (1, 2, 3)] == [False, False, True]
     assert [scan_verdict(dip, j) for j in (1, 2, 3)] == [False, False, True]
+
+
+def every_even_j_scans_unimodal(p):
+    """Brute force: P * [j]_q scans unimodal for every even j <= deg P + 2;
+    past deg P + 1 the product is always unimodal."""
+    return all(scan_verdict(p, j) for j in range(2, len(p) + 2, 2))
+
+
+@given(palindromes())
+@settings(max_examples=600)
+def test_two_scans_judge_every_even_j(p):
+    d = len(p) - 1
+    want = every_even_j_scans_unimodal(p)
+    assert cj._rises_for_every_even_j(p, d) == want
+    # P_0 .. P_ceil(d/2) is all that the two scans read
+    assert cj._rises_for_every_even_j(p[: len(p) // 2 + 1], d) == want
+
+
+def test_odd_degree_needs_the_step_one_scan():
+    # P = 1 + q^2 + q^3 + q^5: P * [2]_q is unimodal and P * [4]_q is not,
+    # so only the scan of P itself, at step 1, refuses it
+    p = [1, 0, 1, 1, 0, 1]
+    assert scan_verdict(p, 2) and not scan_verdict(p, 4)
+    assert cj._rises_to_centre(p, 2) and not cj._rises_to_centre(p, 1)
+    assert not cj._rises_for_every_even_j(p, 5)
+    assert not cj._rises_for_every_even_j(p[:4], 5)
+
+
+def _row_poly(m, n):
+    """P = (1 + q^n) [m choose n-1]_q, shared by the cells of row (m, n)."""
+    return (Poly.one() + Poly.monomial(n)) * q_binomial(m, n - 1)
+
+
+@pytest.mark.parametrize("case", cj.CASES)
+def test_half_cell_verdict_matches_the_cell_scan(case):
+    for n in range(1 if case == "odd-n" else 2, 21, 2):
+        for m in range(n, 21):
+            binom = list(q_binomial(m, n - 1).coeffs)
+            p = _row_poly(m, n).coeffs
+            d = len(p) - 1
+            half = cj._half_cell(binom, n)
+            assert tuple(half) == p[: (d + 1) // 2 + 1], (m, n)
+            if case == "odd-n":
+                verdict = cj._rises_to_centre(half, 1, d)
+                assert verdict == (unimodal_break_index(cj.conjecture_poly(case, m, n)) is None)
+                continue
+            verdict = cj._rises_for_every_even_j(half, d)
+            for j in range(2, 13, 2):
+                cell = cj.conjecture_poly(case, m, n, j)
+                assert verdict == (unimodal_break_index(cell) is None), (m, n, j)
 
 
 def product_scan_column(case, n, m_max, j_max, skip):
@@ -294,14 +347,19 @@ def _payloads(case, *grid):
     return out
 
 
-def _failing_at(*cells):
-    """A sweep verdict that fails the given cell polynomials (odd-n, where
-    the cell is P itself) and judges every other cell as usual."""
+def _failing_at(*cells, jays=None):
+    """A sweep verdict that fails the given palindromes P (for odd-n the
+    cell itself), at each j in jays or at every j, whether it is handed
+    the whole of P or its lower half, and judges everything else as usual.
+    A palindrome is fixed by its degree and its lower half, so no other
+    P matches."""
     real = cj._rises_to_centre
     bad = {p.coeffs for p in cells}
 
-    def verdict(p, j):
-        return tuple(p) not in bad and real(p, j)
+    def verdict(p, j, d=None):
+        d = len(p) - 1 if d is None else d
+        hit = any(len(c) == d + 1 and c[: len(p)] == tuple(p) for c in bad)
+        return not (hit and (jays is None or j in jays)) and real(p, j, d)
 
     return verdict
 
@@ -316,22 +374,20 @@ def test_jobs_determinism(monkeypatch):
 
     # planted failures: one grid cell and two consequence cells, which
     # the payload lists grid cells first, in column order
-    real_break, real_shape = cj.unimodal_break_index, cj.shape
-    planted = {cj.t_term_poly(1, 3, 1), cj.t_term_poly(2, 9, 1)}
+    real_break, real_negative = cj.unimodal_break_index, cj.first_negative
+    planted = {cj.t_term_poly(1, 3, 1).coeffs, cj.t_term_poly(2, 9, 1).coeffs}
     target = cj.conjecture_poly("odd-n", 9, 5)
     monkeypatch.setattr(cj, "_rises_to_centre", _failing_at(target))
 
     def broken_break(p):
         return 4 if p == target else real_break(p)
 
-    def broken_shape(p):
-        sh = real_shape(p)
-        if p in planted:
-            return dataclasses.replace(sh, is_nonnegative=False, nonneg_prefix_degree=0)
-        return sh
+    def broken_negative(c):
+        # the consequence cells' sign check names coefficient 1 negative
+        return 1 if tuple(c) in planted else real_negative(c)
 
     monkeypatch.setattr(cj, "unimodal_break_index", broken_break)
-    monkeypatch.setattr(cj, "shape", broken_shape)
+    monkeypatch.setattr(cj, "first_negative", broken_negative)
     a, b = _payloads("odd-n", 14, 14)
     assert a == b
     assert a["status"] == "fail"
@@ -341,6 +397,101 @@ def test_jobs_determinism(monkeypatch):
         {"n": 9, "r": 2},
     ]
     assert a["counterexamples"][1]["break_index"] == 1
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_failing_even_row_falls_back_to_the_per_j_scans(monkeypatch, jobs):
+    # row (7, 4), of even degree, fails at j = 2 and 4; row (8, 4), of odd
+    # degree, fails only the step-1 scan, which no per-j scan repeats.  Both
+    # rows fall back, and the records are those of one scan per j
+    hits = {2: 5, 4: 6}
+    cells = {j: cj.conjecture_poly("even-n", 7, 4, j) for j in hits}
+    planted = {cells[j]: hits[j] for j in hits}
+    real_break = cj.unimodal_break_index
+    monkeypatch.setattr(cj, "unimodal_break_index", lambda p: planted.get(p) or real_break(p))
+    two, one = _failing_at(_row_poly(7, 4), jays=(2, 4)), _failing_at(_row_poly(8, 4), jays=(1,))
+    monkeypatch.setattr(cj, "_rises_to_centre", lambda p, j, d=None: two(p, j, d) and one(p, j, d))
+    rep = cj.sweep("even-n", 10, 10, 10, jobs=jobs)
+    assert rep.counterexamples == [
+        {"params": {"m": 7, "n": 4, "j": j}, "poly": str(cells[j]), "break_index": hits[j]}
+        for j in hits
+    ]
+    assert rep.verified_cells == even_cells(10, 10, 10)
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """Empty q-binomial caches, built-binomial table and held T-terms, and
+    the caches emptied again afterwards."""
+    monkeypatch.setattr(qfuncs, "_built", {})
+    monkeypatch.setattr(qfuncs, "_held", {})
+    for cache in (qfuncs.q_binomial, qfuncs.q_binomial_sq):
+        cache.cache_clear()
+    yield
+    for cache in (qfuncs.q_binomial, qfuncs.q_binomial_sq):
+        cache.cache_clear()
+
+
+def test_consequence_terms_equal_cold_builds_and_the_oracle(monkeypatch, cold_tables):
+    terms = {}
+    real = cj.t_term_poly
+
+    def record(r, n, j):
+        terms[(r, n)] = real(r, n, j)
+        return terms[(r, n)]
+
+    monkeypatch.setattr(cj, "t_term_poly", record)
+    for n in range(1, 16, 2):
+        assert cj._sweep_column("odd-n", n, 2 * n, 10, None)[2] == []
+    assert list(terms) == [(r, n) for n in range(1, 16, 2) for r in range(1, (n + 1) // 2)]
+    rng = random.Random(2013)
+    points = [rng.randrange(2, (1 << 61) - 2) for _ in range(3)]
+    for (r, n), t in terms.items():
+        qfuncs._built.clear()
+        qfuncs._held.clear()
+        qfuncs.q_binomial.cache_clear()
+        assert qfuncs.t_term_poly(r, n, 1) == t, (r, n)
+        for x in points:
+            assert eval_mod(t.coeffs, x) == t_term_mod(r, n, 1, x), (r, n, x)
+
+
+@pytest.fixture
+def built_by(monkeypatch):
+    """The what-string of every q_ratio call that qfuncs makes."""
+    whats = []
+    real = qfuncs.q_ratio
+
+    def record(c, tops, bottoms, what):
+        whats.append(what)
+        return real(c, tops, bottoms, what)
+
+    monkeypatch.setattr(qfuncs, "q_ratio", record)
+    return whats
+
+
+@pytest.mark.parametrize("n", (3, 7, 15))
+def test_column_hands_its_binomial_to_the_first_term(cold_tables, built_by, n):
+    cj._sweep_column("odd-n", n, 2 * n - 2, 10, None)
+    assert "[%d choose %d]_q" % (2 * n - 2, n - 1) not in built_by
+    # so T_1(n) is one q_ratio from it
+    assert built_by.count("T-term r=1 n=%d j=1" % n) == 1
+
+
+@pytest.mark.parametrize("n", (7, 15))
+def test_column_short_of_2n_minus_2_leaves_the_product_formula(cold_tables, built_by, n):
+    name = "[%d choose %d]_q" % (2 * n - 2, n - 1)
+    cj._sweep_column("odd-n", n, 2 * n - 3, 10, None)
+    assert built_by.count(name) == n - 1
+    # a frontier box that starts the column past 2n - 2 covers its
+    # consequence cells too, so nothing is handed over or built
+    qfuncs._built.clear()
+    qfuncs.q_binomial.cache_clear()
+    built_by.clear()
+    skip = {"m_max": 2 * n - 1, "n_max": n, "j_max": 10}
+    assert cj._sweep_column("odd-n", n, 2 * n + 2, 10, skip) == (3, [], [])
+    assert (2 * n - 2, n - 1) not in qfuncs._built and name not in built_by
+    qfuncs.t_term_poly(1, n, 1)
+    assert built_by.count(name) == n - 1
 
 
 def test_early_close_lets_every_worker_exit(monkeypatch):

@@ -235,6 +235,16 @@ def test_no_built_neighbour_runs_the_product_formula(ratio_calls):
     assert ratio_calls == []
 
 
+def test_a_kept_binomial_is_found_and_replaces_none(ratio_calls):
+    qfuncs.keep_binomial(12, 6, list(pascal_q_binomial(12, 6).coeffs))
+    assert q_binomial(12, 6) == pascal_q_binomial(12, 6)
+    assert ratio_calls == []
+    # a built binomial stays the very polynomial the cache returns
+    p = q_binomial(12, 4)
+    qfuncs.keep_binomial(12, 8, [1])
+    assert qfuncs._built[(12, 4)] is p
+
+
 def test_rows_cost_one_step_per_binomial(ratio_calls):
     cells = [(m, k) for m in range(41) for k in range(m + 1)]
     for m, k in cells:
