@@ -32,7 +32,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import chain, islice, repeat, starmap
 from operator import add, ge
 
 from .errors import DivisionInexact, DomainError, InvariantViolation
@@ -166,9 +166,11 @@ def _rises_to_centre(p, j, d=None):
     if d is None:
         d = len(p) - 1
     h = (d + j - 1) // 2
-    ext = [0] * j + p[: h + 1]
-    ext += [0] * (j + h + 1 - len(ext))
-    return all(map(ge, ext[j + 1 :], ext[1 : h + 1]))
+    # P_1 .. P_h against P_{1-j} .. P_{h-j}, with no copy of p; past the
+    # end of fall both sides read zero, so map may stop there
+    rise = chain(islice(p, 1, h + 1), repeat(0, h + 1 - len(p)))
+    fall = chain(repeat(0, j - 1), p)
+    return all(map(ge, rise, fall))
 
 
 def _rises_for_every_even_j(p, d):
@@ -211,10 +213,11 @@ def _sweep_column(case, n, m_max, j_max, skip):
     coefficient list by the ratio (1 - q^m) / (1 - q^(m-n+1)), one q_ratio
     call.  P = (1 + q^n) * B is a palindrome exactly when B is, since
     B_0 = 1, and P [j]_q is one when P is, so the reciprocity check on B
-    stands for every cell of the row.  The row is judged from the lower
-    half of P alone (_half_cell) by self-comparisons of it
-    (_rises_to_centre): odd-n is j = 1, and for even-n two comparisons
-    judge every even j at once (_rises_for_every_even_j).  Only a row
+    (its lower half against its upper half reversed) stands for every
+    cell of the row.  The row is judged from the lower half of P alone
+    (_half_cell) by self-comparisons of it (_rises_to_centre): odd-n is
+    j = 1, and for even-n two comparisons judge every even j at once
+    (_rises_for_every_even_j).  Only a row
     that fails builds the whole of P and judges each j of it on its own,
     and only a failing cell builds its polynomial, with conjecture_poly
     and so apart from the stepped list; a scan of it gives the break
@@ -253,7 +256,8 @@ def _sweep_column(case, n, m_max, j_max, skip):
         todo = [j for j in jays if not _covered(skip, m, n, j)]
         if not todo:
             continue
-        if binom != binom[::-1]:
+        mid = len(binom) // 2
+        if binom[:mid] != binom[: -mid - 1 : -1]:
             # construction guarantees this; a miss means broken arithmetic
             raise InvariantViolation(
                 "cell m=%d n=%d j=%r is not reciprocal" % (m, n, todo[0])

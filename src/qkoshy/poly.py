@@ -25,7 +25,8 @@ and T-term quotient is built from, has its own two kernels on
 coefficient lists: multiplying by it is one shifted subtract, and
 dividing by it is one prefix sum over each residue class modulo a.
 q_ratio runs every quotient of factors 1 - q^a by factors 1 - q^b on
-them, and Poly.__mul__ sends a right-hand factor 1 - q^a to the first.
+them, after cancelling each factor that stands on both sides, and
+Poly.__mul__ sends a right-hand factor 1 - q^a to the first.
 exact_div is long division, left for the other divisors (the cyclotomic
 ones).
 """
@@ -36,7 +37,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, and_, lshift, rshift, sub
+from operator import add, and_, lshift, neg, rshift, sub
 
 from .errors import DivisionInexact, DomainError, UnsupportedDivisor
 
@@ -242,15 +243,19 @@ class Poly:
 
 
 def _mul_one_minus(c, a):
-    """Coefficients of (1 - q^a) * c, for a >= 1: one shifted subtract."""
-    out = list(c) + [0] * a
-    out[a:] = map(sub, out[a:], c)
+    """Coefficients of (1 - q^a) * c, for a >= 1, as a new list: the low a
+    entries of c (zero past its end), the shifted differences, then the
+    negated top a entries."""
+    out = list(c[:a])
+    out += repeat(0, a - len(out))
+    out += map(sub, c[a:], c)
+    out += map(neg, c[-a:])
     return out
 
 
 def _div_one_minus(c, a):
-    """Coefficients of c / (1 - q^a) for a >= 1, or None when 1 - q^a does
-    not divide c.
+    """Coefficients of c / (1 - q^a) for a >= 1, as a new list, or None when
+    1 - q^a does not divide c.
 
     The quotient is c * (1 + q^a + q^2a + ...), a prefix sum over each
     residue class modulo a.  Run over the whole of c, the sums hold the
@@ -263,22 +268,30 @@ def _div_one_minus(c, a):
     top = max(len(out) - a, 0)
     if any(out[top:]):
         return None
-    return out[:top]
+    del out[top:]
+    return out
 
 
 def q_ratio(c, tops, bottoms, what):
     """The coefficient list of c times the factors 1 - q^a, a in tops,
     over the factors 1 - q^b, b in bottoms.
 
-    The multiplies come first, so every division is exact when the ratio
-    is a polynomial; one that is not raises DivisionInexact naming what
-    and b.  An exponent below 1 raises DomainError.
+    An exponent in both tops and bottoms cancels (as a multiset, with the
+    first equal bottom), so it costs no pass; c itself comes back when
+    every factor cancels, and c is never changed.  The multiplies come
+    first, so every remaining division is exact when the ratio is a
+    polynomial; one that is not raises DivisionInexact naming what and b.
+    An exponent below 1 raises DomainError.
     """
     low = min(min(tops, default=1), min(bottoms, default=1))
     if low < 1:
         raise DomainError("q_ratio needs exponents >= 1, got %d" % low)
+    bottoms = list(bottoms)
     for a in tops:
-        c = _mul_one_minus(c, a)
+        if a in bottoms:
+            bottoms.remove(a)
+        else:
+            c = _mul_one_minus(c, a)
     for b in bottoms:
         out = _div_one_minus(c, b)
         if out is None:

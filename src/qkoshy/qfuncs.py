@@ -270,7 +270,8 @@ def t_step(c, r, n, j):
     and any factor f free of r.
 
     One q_ratio call: the three numerator factors 1 - q^a over the three
-    denominator factors 1 - q^b, so every division is exact.  A
+    denominator factors 1 - q^b, so every division is exact.  At j = 1
+    and j = 2 the top 2(n - r) is also a bottom and cancels.  A
     numerator factor 1 - q^0 means X_{r+1} vanishes (r = n, or
     n < 2(r+1) - j), and zero stays zero.
     """

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from operator import ge
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,65 @@ def test_odd_degree_needs_the_step_one_scan():
     assert cj._rises_to_centre(p, 2) and not cj._rises_to_centre(p, 1)
     assert not cj._rises_for_every_even_j(p, 5)
     assert not cj._rises_for_every_even_j(p[:4], 5)
+
+
+def ext_rises(p, j, d=None):
+    """_rises_to_centre as it was written with a zero-padded copy of p:
+    P_1 .. P_h against P_{1-j} .. P_{h-j}, the reference for its
+    copy-free scan."""
+    if d is None:
+        d = len(p) - 1
+    h = (d + j - 1) // 2
+    ext = [0] * j + p[: h + 1]
+    ext += [0] * (j + h + 1 - len(ext))
+    return all(map(ge, ext[j + 1 :], ext[1 : h + 1]))
+
+
+@given(palindromes(), st.integers(1, 24), st.integers(0, 8))
+@settings(max_examples=600)
+def test_copy_free_scan_matches_the_padded_copy(p, j, cut):
+    # j > D + 1 is common here; a prefix of p stands for the half lists
+    # the sweep passes, and may be shorter than the h + 1 entries read
+    d = len(p) - 1
+    assert cj._rises_to_centre(p, j) == ext_rises(p, j)
+    short = p[: max(len(p) - cut, 1)]
+    assert cj._rises_to_centre(short, j, d) == ext_rises(short, j, d)
+
+
+@given(st.lists(st.integers(-3, 3), max_size=12), st.integers(1, 20), st.integers(0, 30))
+def test_copy_free_scan_makes_the_same_comparisons(p, j, d):
+    # any list and any degree, palindromic or not: both read the same
+    # entries, zero past the end of p and before its start
+    assert cj._rises_to_centre(p, j, d) == ext_rises(p, j, d)
+
+
+@pytest.mark.parametrize("m", [8, 9])
+def test_reciprocity_guard_sees_one_planted_asymmetry(monkeypatch, m):
+    # [m choose 3]_q has 16 coefficients at m = 8 and 19, with a centre
+    # that is its own mirror, at m = 9; one coefficient raised anywhere
+    # else, the centre's neighbours included, breaks the palindrome
+    width = 3 * (m - 3) + 1
+    real = cj.q_ratio
+    for i in range(width):
+        if 2 * i == width - 1:
+            continue
+
+        def planted(c, tops, bottoms, what):
+            out = real(c, tops, bottoms, what)
+            if tops == (m,):
+                out[i] += 1
+            return out
+
+        monkeypatch.setattr(cj, "q_ratio", planted)
+        with pytest.raises(InvariantViolation, match="cell m=%d n=4 j=2 is not reciprocal" % m):
+            cj._sweep_column("even-n", 4, m, 4, None)
+
+
+def test_a_column_step_is_one_multiply_and_one_division(ratio_passes):
+    q_binomial(4, 3)
+    ratio_passes.update(mul=0, div=0)
+    assert cj._sweep_column("even-n", 4, 24, 4, None) == (21 * 2, [], [])
+    assert ratio_passes == {"mul": 20, "div": 20}
 
 
 def _row_poly(m, n):

@@ -1,6 +1,7 @@
 import array
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -136,7 +137,9 @@ def ref_long_div(a, b):
 def test_mul_one_minus_kernel_matches_sparse(c, a):
     # signed coefficients, and len(c) < a whenever a > 40
     b = one_minus(a)
+    before = list(c)
     got = poly._mul_one_minus(c, a)
+    assert c == before
     if c:
         assert got == poly._mul_sparse(tuple(c), b, len(c) - c.count(0), 2)
     assert poly._trim(got) == tuple(ref_convolve(c, list(b)))
@@ -151,7 +154,9 @@ def test_div_one_minus_kernel_matches_long_division(c, a, exact):
     if exact:
         c = poly._mul_one_minus(c, a)
     quot, rem = ref_long_div(c, one_minus(a))
+    before = list(c)
     got = poly._div_one_minus(c, a)
+    assert c == before
     if any(rem):
         assert got is None
     else:
@@ -175,43 +180,106 @@ def test_div_one_minus_kernel_matches_long_division(c, a, exact):
         assert outcomes[0] == ("inexact division", Poly(rem))
 
 
-@given(coeff_lists, st.lists(st.integers(1, 12), max_size=4),
-       st.lists(st.integers(1, 12), max_size=4), st.booleans())
-def test_q_ratio_matches_products_and_long_division(c, tops, bottoms, exact):
-    # the reference multiplies by each 1 - q^a schoolbook-style, and
-    # divides by each 1 - q^b with long division; an exact case puts the
-    # bottoms into the dividend first, so every division goes through
-    if exact:
+@st.composite
+def ratio_cases(draw):
+    """(c, tops, bottoms): signed coefficients as a list or a tuple, and up
+    to four exponents on each side, some of them on both; an exact case
+    puts the bottoms into the dividend first, so the ratio is a polynomial."""
+    c = draw(coeff_lists)
+    tops = draw(st.lists(st.integers(1, 12), max_size=4))
+    shared = draw(st.lists(st.sampled_from(tops), max_size=len(tops))) if tops else []
+    bottoms = draw(st.permutations(shared + draw(st.lists(st.integers(1, 12), max_size=4))))
+    if draw(st.booleans()):
         for b in bottoms:
-            c = poly._mul_one_minus(c, b)
-    want = poly._trim(c)
+            c = ref_convolve(c, one_minus(b))
+    if draw(st.booleans()):
+        c = tuple(c)
+    return c, tops, bottoms
+
+
+def ref_ratio(c, tops, bottoms):
+    """The ratio by products with 1 - q^a and exact_div by each 1 - q^b,
+    as a Poly, or None when it is not a polynomial."""
+    num = Poly(c)
     for a in tops:
-        if want:
-            want = poly._trim(poly._mul_sparse(want, one_minus(a), len(want) - want.count(0), 2))
-    failed = None
+        num = Poly(ref_convolve(num.coeffs, one_minus(a)))
+    try:
+        for b in bottoms:
+            num = exact_div(num, Poly(one_minus(b)))
+    except DivisionInexact:
+        return None
+    return num
+
+
+def ref_failing_bottom(c, tops, bottoms):
+    """The b an inexact q_ratio names: the first bottom, in order, that
+    does not divide, once each exponent on both sides has cancelled
+    against the first equal bottom."""
+    shared = Counter(tops) & Counter(bottoms)
+    num = Poly(c)
+    for a in (Counter(tops) - shared).elements():
+        num = Poly(ref_convolve(num.coeffs, one_minus(a)))
+    left = []
     for b in bottoms:
-        quot, rem = ref_long_div(want, one_minus(b))
-        if any(rem):
-            failed = b
-            break
-        want = quot
+        if shared[b]:
+            shared[b] -= 1
+        else:
+            left.append(b)
+    for b in left:
+        try:
+            num = exact_div(num, Poly(one_minus(b)))
+        except DivisionInexact:
+            return b
+    raise AssertionError("the reference divides every bottom")
+
+
+@given(ratio_cases())
+@settings(max_examples=300)
+def test_q_ratio_matches_products_and_long_division(case):
+    c, tops, bottoms = case
+    args = [list(x) for x in case]
+    want = ref_ratio(c, tops, bottoms)
     try:
         got = q_ratio(c, tops, bottoms, "ratio under test")
     except DivisionInexact as exc:
-        assert failed is not None
-        assert str(exc) == "ratio under test: 1 - q^%d does not divide" % failed
-        return
-    assert failed is None and poly._trim(got) == want
+        assert want is None
+        b = ref_failing_bottom(c, tops, bottoms)
+        assert str(exc) == "ratio under test: 1 - q^%d does not divide" % b
+    else:
+        assert want is not None and poly._trim(got) == want.coeffs
+    # the arguments are as they were
+    assert [list(x) for x in (c, tops, bottoms)] == args
 
 
 def test_q_ratio_rejects_exponents_below_one():
-    for tops, bottoms in (((0,), ()), ((), (0,)), ((2, -1), (1,)), ((1,), (3, 0))):
+    for tops, bottoms in (((0,), ()), ((), (0,)), ((2, -1), (1,)), ((1,), (3, 0)), ((0,), (0,))):
         with pytest.raises(DomainError, match="exponents >= 1"):
             q_ratio([1, 1], tops, bottoms, "bad exponent")
     # (1 - q^3) / (1 - q) = 1 + q + q^2, and 1 + q is not a multiple of 1 - q^2
     assert q_ratio([1], (3,), (1,), "[3]_q") == [1, 1, 1]
     with pytest.raises(DivisionInexact, match=r"^1 \+ q: 1 - q\^2 does not divide$"):
         q_ratio([1, 1], (), (2,), "1 + q")
+
+
+def test_q_ratio_refuses_a_remainder_in_the_top_entry_alone():
+    # (1 - q^2)(1 + q) + q^3: its prefix sums modulo 2 leave 1 + q + q^3,
+    # so the only remainder is the top entry; a cancelled pair on both
+    # sides changes nothing
+    c = [1, 1, -1, 0]
+    assert poly._div_one_minus(c, 2) is None
+    for tops, bottoms in (((), (2,)), ((5,), (2, 5)), ((5,), (5, 2))):
+        with pytest.raises(DivisionInexact, match=r"^top: 1 - q\^2 does not divide$"):
+            q_ratio(c, tops, bottoms, "top")
+    assert c == [1, 1, -1, 0]
+
+
+def test_q_ratio_cancels_shared_factors():
+    # a pair on both sides costs no pass: every factor cancelled gives c
+    # itself back, and equal exponents cancel as a multiset
+    c = (1, 2, 3)
+    assert q_ratio(c, (4, 2), (2, 4), "all cancel") is c
+    assert q_ratio([1], (2, 2), (2,), "one left") == [1, 0, -1]
+    assert q_ratio([1, 0, -1], (3,), (3, 2), "one below") == [1]
 
 
 def test_div_one_minus_spots():

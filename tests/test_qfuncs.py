@@ -449,6 +449,31 @@ def test_stepped_andrews_terms_against_products():
         assert a == [] and s == []
 
 
+@pytest.mark.parametrize("j,passes", [(1, 2), (2, 2), (3, 3)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_t_step_cancels_its_shared_factor(ratio_passes, r, j, passes):
+    # the top 2(n - r) is the bottom 2n + j - 1 - 2r at j = 1 and the
+    # bottom 2n + j - 2 - 2r at j = 2, so those steps take two passes
+    # each way; j = 3 shares no factor at these r and takes three
+    n = 12
+    c = qfuncs._direct_term(r, n, j, True)
+    ratio_passes.update(mul=0, div=0)
+    c = t_step(c, r, n, j)
+    assert ratio_passes == {"mul": passes, "div": passes}
+    assert Poly(c).shift(r * r + r) == _product_t(r + 1, n, j)
+
+
+@pytest.mark.parametrize("n,j,passes", [(12, 2, 1), (12, 12, 1), (12, 3, 2)])
+def test_direct_first_term_cancels_a_shared_factor(ratio_passes, n, j, passes):
+    # (1 - q^2n)(1 - q^j) / ((1 - q^2)(1 - q^n)): 1 - q^j cancels at j = 2
+    # and at j = n
+    q_binomial(2 * n + j - 3, n - 1)
+    ratio_passes.update(mul=0, div=0)
+    c = qfuncs._direct_term(1, n, j, True)
+    assert ratio_passes == {"mul": passes, "div": passes}
+    assert Poly(c) == _product_t(1, n, j)
+
+
 def test_t_term_diff_matches_products_and_t_term_poly():
     qfuncs._held.clear()
     for n in range(1, 31):
