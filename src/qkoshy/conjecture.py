@@ -10,7 +10,9 @@ on every row of cells, on its column binomial, as a sanity check rather
 than swept for.  A reciprocal polynomial is unimodal exactly when it does
 not decrease up to its centre, which is how each cell is judged, from the
 lower half of (1 + q^n) * qbinom(m, n-1); for even-n two such scans judge
-every even j at once (see _sweep_column).  A sweep never stops
+every even j at once (see _sweep_column); a row that fails completes it
+by symmetry.  _jays and _columns say which cells a grid has, and _covered
+alone which of them a frontier's box holds.  A sweep never stops
 at the first hit: it walks the whole requested grid and reports every
 violating cell, because a refutation is the interesting outcome here.
 
@@ -103,7 +105,19 @@ class SweepReport:
         }
 
 
+def _jays(case, j_max):
+    """The j of each cell of a row: None for odd-n, even 2..j_max for even-n."""
+    return (None,) if case == "odd-n" else tuple(range(2, j_max + 1, 2))
+
+
+def _columns(case, n_max):
+    """The n of each column of a grid: odd n for odd-n, even n for even-n."""
+    return range(1 if case == "odd-n" else 2, n_max + 1, 2)
+
+
 def _covered(skip, m, n, j) -> bool:
+    """Whether the verified box skip (None for none) holds cell (m, n, j),
+    or, with j None, (m, n): the one coverage rule of a sweep."""
     if skip is None:
         return False
     if m > skip["m_max"] or n > skip["n_max"]:
@@ -204,10 +218,10 @@ def _half_cell(binom, n):
 def _sweep_column(case, n, m_max, j_max, skip):
     """All cells of one n-column: the grid cells, then for odd-n the
     consequence cells T_r(n), r <= (n - 1) / 2, when the column has grid
-    cells and n <= CONSEQUENCE_N_CAP.  Grid cells inside the skip box are
-    left out, and so are the consequence cells when n <= min(m_max,
-    n_max) of that box.  Returns (cells_checked, grid counterexamples,
-    consequence counterexamples).
+    cells and n <= CONSEQUENCE_N_CAP.  Grid cells that _covered, the one
+    coverage rule, puts in the skip box are left out, and so are the
+    consequence cells when it puts (n, n) there.  Returns (cells_checked,
+    grid counterexamples, consequence counterexamples).
 
     Each m step advances the column binomial B = [m choose n-1]_q on its
     coefficient list by the ratio (1 - q^m) / (1 - q^(m-n+1)), one q_ratio
@@ -217,9 +231,9 @@ def _sweep_column(case, n, m_max, j_max, skip):
     cell of the row.  The row is judged from the lower half of P alone
     (_half_cell) by self-comparisons of it (_rises_to_centre): odd-n is
     j = 1, and for even-n two comparisons judge every even j at once
-    (_rises_for_every_even_j).  Only a row
-    that fails builds the whole of P and judges each j of it on its own,
-    and only a failing cell builds its polynomial, with conjecture_poly
+    (_rises_for_every_even_j).  Only a row that fails completes P from
+    that half by symmetry and judges each j of it on its own, and only a
+    failing cell builds its polynomial, with conjecture_poly
     and so apart from the stepped list; a scan of it gives the break
     index of its record, and a scan that finds no break means the
     stepping or the verdict is broken.
@@ -230,14 +244,12 @@ def _sweep_column(case, n, m_max, j_max, skip):
     to q_binomial's table (keep_binomial) when it passes m = 2n-2.  A
     term is judged by its signs alone (first_negative).
     """
-    jays = (None,) if case == "odd-n" else tuple(range(2, j_max + 1, 2))
+    jays = _jays(case, j_max)
     start = n
-    if skip is not None and n <= skip["n_max"]:
-        if all(j is None or j <= skip["j_max"] for j in jays):
-            start = max(skip["m_max"] + 1, n)
-    consequence = case == "odd-n" and n <= min(m_max, CONSEQUENCE_N_CAP) and not (
-        skip is not None and n <= min(skip["m_max"], skip["n_max"])
-    )
+    if jays and all(_covered(skip, n, n, j) for j in jays):
+        start = skip["m_max"] + 1
+    consequence = (case == "odd-n" and n <= min(m_max, CONSEQUENCE_N_CAP)
+                   and not _covered(skip, n, n, None))
     checked = 0
     bad = []
     binom = None
@@ -267,8 +279,7 @@ def _sweep_column(case, n, m_max, j_max, skip):
         half = _half_cell(binom, n)
         if _rises_to_centre(half, 1, d) if case == "odd-n" else _rises_for_every_even_j(half, d):
             continue
-        p = binom + [0] * n
-        p[n:] = map(add, p[n:], binom)
+        p = half + half[: d + 1 - len(half)][::-1]
         for j in todo:
             if _rises_to_centre(p, j or 1):
                 continue
@@ -294,13 +305,8 @@ def _sweep_column(case, n, m_max, j_max, skip):
 
 
 def _box_cells(case, box) -> int:
-    m_max, n_max, j_max = box["m_max"], box["n_max"], box["j_max"]
-    first = 1 if case == "odd-n" else 2
-    per_n = 1 if case == "odd-n" else len(range(2, j_max + 1, 2))
-    total = 0
-    for n in range(first, n_max + 1, 2):
-        total += max(0, m_max - n + 1) * per_n
-    return total
+    per_n = len(_jays(case, box["j_max"]))
+    return sum(max(0, box["m_max"] - n + 1) * per_n for n in _columns(case, box["n_max"]))
 
 
 def _load_frontier(path, case):
@@ -418,10 +424,7 @@ def sweep(
         # empty path names no file to rename the temporary one over
         with _frontier_tmp(frontier_path) as tmp:
             probe_writable(tmp if frontier_path else frontier_path)
-    columns = [] if empty else [
-        (case, n, m_max, j_max, skip)
-        for n in range(1 if case == "odd-n" else 2, n_max + 1, 2)
-    ]
+    columns = [] if empty else [(case, n, m_max, j_max, skip) for n in _columns(case, n_max)]
     checked = 0
     bad = []
     late = []

@@ -167,8 +167,6 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return Poly.zero()
             return Poly._raw(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Poly):
             return NotImplemented

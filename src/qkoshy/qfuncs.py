@@ -12,7 +12,8 @@ these built runs the product formula, one such factor pair per step,
 which keeps every intermediate polynomial and costs O(k * deg).  A
 caller that has built a binomial by other means hands it over
 (keep_binomial), as a sweep column does.  Only
-the cyclotomic divisors go through long division (exact_div).  The test
+the cyclotomic divisors go through long division (exact_div), in one
+test, cyclotomic_divides, which folds modulo q^d - 1 first.  The test
 suite cross-checks the binomials coefficient for coefficient against an
 independent Pascal-recurrence construction, in several build orders.
 
@@ -174,10 +175,7 @@ def q_ballot(j: int, n: int, method: str = "quotient") -> Poly:
         return Poly._raw(q_ratio(q_binomial(2 * n + j, n).coeffs, (j,), (2 * n + j,),
                                  "B_%d(%d, q)" % (j, n)))
     if method == "difference":
-        head = q_binomial(2 * n + j - 2, n)
-        if n < 2:
-            return head
-        return head - q_binomial(2 * n + j - 2, n - 2).shift(j)
+        return q_binomial(2 * n + j - 2, n) - q_binomial(2 * n + j - 2, n - 2).shift(j)
     raise DomainError("unknown q_ballot method %r" % method)
 
 
@@ -203,12 +201,15 @@ def q_lucas_check(m: int, k: int, d: int) -> bool:
         raise DomainError("q_lucas_check needs 0 <= k <= m")
     a, b = divmod(m, d)
     r, s = divmod(k, d)
-    c = (q_binomial(m, k) - q_binomial(b, s) * math.comb(a, r)).coeffs
-    # fold exponents modulo q^d - 1 first (a multiple of the modulus),
-    # so the division only sees degree < d
-    diff = Poly([sum(c[i::d]) for i in range(d)])
+    return cyclotomic_divides((q_binomial(m, k) - q_binomial(b, s) * math.comb(a, r)).coeffs, d)
+
+
+def cyclotomic_divides(c, d: int) -> bool:
+    """Whether the d-th cyclotomic polynomial divides the one with
+    coefficient list c: c folded modulo q^d - 1, a multiple of it, then
+    one long division of degree < d."""
     try:
-        exact_div(diff, cyclotomic(d))
+        exact_div(Poly([sum(c[i::d]) for i in range(d)]), cyclotomic(d))
     except DivisionInexact:
         return False
     return True

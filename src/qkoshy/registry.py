@@ -32,12 +32,12 @@ from . import dyckpaths as dp
 from . import partitions as pt
 from .conjecture import ordered_map
 from .errors import DivisionInexact, DomainError, QKoshyError, ScaleLimit, UnknownIdentity
-from .poly import (Poly, RationalForm, exact_div, first_negative, q_ratio, rational_equal,
-                   shape, unimodal_break_index)
+from .poly import (Poly, RationalForm, first_negative, q_ratio, rational_equal, shape,
+                   unimodal_break_index)
 from .qfuncs import (
     ballot_number,
     catalan,
-    cyclotomic,
+    cyclotomic_divides,
     narayana_poly,
     one_minus_q_to,
     q_ballot,
@@ -314,9 +314,7 @@ def _chk_cyclo_div(n, r):
     if binom.is_zero():
         return _fail(binom, "nonzero", "binomial vanished on an admissible cell")
     for x in _divisors(2 * d):
-        try:
-            exact_div(binom, cyclotomic(x))
-        except DivisionInexact:
+        if not cyclotomic_divides(binom.coeffs, x):
             return _fail(binom, "divisible by Phi_%d" % x, "inexact division")
     try:
         # [2d]_q divides B exactly when 1 - q^(2d) divides (1 - q) B

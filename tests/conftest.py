@@ -1,6 +1,36 @@
+import importlib
+import pkgutil
+
 import pytest
 
-from qkoshy import poly
+import qkoshy
+from qkoshy import poly, qfuncs
+
+# every lru_cache'd function of the package's modules, once each
+MEMOIZED = list({
+    id(obj): obj
+    for info in pkgutil.iter_modules(qkoshy.__path__)
+    for obj in vars(importlib.import_module("qkoshy." + info.name)).values()
+    if callable(getattr(obj, "cache_clear", None))
+}.values())
+
+
+def clear_memos():
+    """Empty every memo the package holds: each lru_cache, the table of
+    built q-binomials (qfuncs._built) and the held T-terms (qfuncs._held)."""
+    for fn in MEMOIZED:
+        fn.cache_clear()
+    qfuncs._built.clear()
+    qfuncs._held.clear()
+
+
+@pytest.fixture
+def cold_memos():
+    """Every memo empty when the test starts, and emptied again when it
+    ends, so that nothing built under a planted fault outlives the test."""
+    clear_memos()
+    yield
+    clear_memos()
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from qkoshy.errors import DomainError, InvariantViolation
 from qkoshy.poly import Poly, shape, unimodal_break_index
 from qkoshy.qfuncs import q_binomial, q_int
 
+from conftest import clear_memos
 from oracles import eval_mod, t_term_mod
 
 
@@ -256,6 +257,37 @@ def test_column_verdicts_match_product_scan(case, skip):
             assert (checked, bad) == product_scan_column(case, n, m_max, 10, skip), (n, m_max)
 
 
+@pytest.mark.parametrize("skip", (None, {"m_max": 7, "n_max": 5, "j_max": 4}),
+                         ids=("no-skip", "skip"))
+@pytest.mark.parametrize("grid", ((12, 9, 6), (10, 8, 1), (5, 9, 4)),
+                         ids=("square", "no-even-j", "m-below-n"))
+@pytest.mark.parametrize("case", cj.CASES)
+def test_box_cells_counts_the_grid_cells_the_columns_check(monkeypatch, case, grid, skip):
+    # grid cells only: no column takes consequence cells
+    monkeypatch.setattr(cj, "CONSEQUENCE_N_CAP", 0)
+    m_max, n_max, j_max = grid
+    box = {"m_max": m_max, "n_max": n_max, "j_max": j_max}
+    checked = sum(cj._sweep_column(case, n, m_max, j_max, skip)[0]
+                  for n in cj._columns(case, n_max))
+    covered = 0 if skip is None else cj._box_cells(case, {k: min(box[k], skip[k]) for k in box})
+    assert checked == cj._box_cells(case, box) - covered
+
+
+def test_a_wrong_lower_half_of_p_is_an_error(monkeypatch):
+    # a failing row completes P from the half its verdict read, so a
+    # wrong half cannot pass on a correct rebuild of P
+    real = cj._half_cell
+
+    def lowered(binom, n):
+        half = real(binom, n)
+        half[1] -= 1
+        return half
+
+    monkeypatch.setattr(cj, "_half_cell", lowered)
+    with pytest.raises(InvariantViolation, match="m=3 n=3 j=None: criterion and scan disagree"):
+        cj._sweep_column("odd-n", 3, 8, 10, None)
+
+
 def test_even_sweep_can_be_empty(tmp_path):
     fp = str(tmp_path / "frontier.json")
     for grid in ((1, 1, 2), (10, 10, 1), (10, 1, 4), (1, 10, 10)):
@@ -479,20 +511,7 @@ def test_failing_even_row_falls_back_to_the_per_j_scans(monkeypatch, jobs):
     assert rep.verified_cells == even_cells(10, 10, 10)
 
 
-@pytest.fixture
-def cold_tables(monkeypatch):
-    """Empty q-binomial caches, built-binomial table and held T-terms, and
-    the caches emptied again afterwards."""
-    monkeypatch.setattr(qfuncs, "_built", {})
-    monkeypatch.setattr(qfuncs, "_held", {})
-    for cache in (qfuncs.q_binomial, qfuncs.q_binomial_sq):
-        cache.cache_clear()
-    yield
-    for cache in (qfuncs.q_binomial, qfuncs.q_binomial_sq):
-        cache.cache_clear()
-
-
-def test_consequence_terms_equal_cold_builds_and_the_oracle(monkeypatch, cold_tables):
+def test_consequence_terms_equal_cold_builds_and_the_oracle(monkeypatch, cold_memos):
     terms = {}
     real = cj.t_term_poly
 
@@ -507,9 +526,7 @@ def test_consequence_terms_equal_cold_builds_and_the_oracle(monkeypatch, cold_ta
     rng = random.Random(2013)
     points = [rng.randrange(2, (1 << 61) - 2) for _ in range(3)]
     for (r, n), t in terms.items():
-        qfuncs._built.clear()
-        qfuncs._held.clear()
-        qfuncs.q_binomial.cache_clear()
+        clear_memos()
         assert qfuncs.t_term_poly(r, n, 1) == t, (r, n)
         for x in points:
             assert eval_mod(t.coeffs, x) == t_term_mod(r, n, 1, x), (r, n, x)
@@ -530,7 +547,7 @@ def built_by(monkeypatch):
 
 
 @pytest.mark.parametrize("n", (3, 7, 15))
-def test_column_hands_its_binomial_to_the_first_term(cold_tables, built_by, n):
+def test_column_hands_its_binomial_to_the_first_term(cold_memos, built_by, n):
     cj._sweep_column("odd-n", n, 2 * n - 2, 10, None)
     assert "[%d choose %d]_q" % (2 * n - 2, n - 1) not in built_by
     # so T_1(n) is one q_ratio from it
@@ -538,14 +555,13 @@ def test_column_hands_its_binomial_to_the_first_term(cold_tables, built_by, n):
 
 
 @pytest.mark.parametrize("n", (7, 15))
-def test_column_short_of_2n_minus_2_leaves_the_product_formula(cold_tables, built_by, n):
+def test_column_short_of_2n_minus_2_leaves_the_product_formula(cold_memos, built_by, n):
     name = "[%d choose %d]_q" % (2 * n - 2, n - 1)
     cj._sweep_column("odd-n", n, 2 * n - 3, 10, None)
     assert built_by.count(name) == n - 1
     # a frontier box that starts the column past 2n - 2 covers its
     # consequence cells too, so nothing is handed over or built
-    qfuncs._built.clear()
-    qfuncs.q_binomial.cache_clear()
+    clear_memos()
     built_by.clear()
     skip = {"m_max": 2 * n - 1, "n_max": n, "j_max": 10}
     assert cj._sweep_column("odd-n", n, 2 * n + 2, 10, skip) == (3, [], [])

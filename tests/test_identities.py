@@ -12,6 +12,7 @@ from qkoshy.cli import run
 from qkoshy.errors import DomainError, QKoshyError, ScaleLimit, UnknownIdentity
 from qkoshy.poly import Poly
 
+from conftest import clear_memos
 from oracles import poly_pow
 
 ALL_IDS = [
@@ -320,13 +321,6 @@ def test_miscolored_tower_table_fails_lemma2(monkeypatch, capsys, colored, cell,
     assert d["counterexample"]["diff"] == diff
 
 
-@pytest.fixture
-def fresh_stats():
-    dp._elevated_stats.cache_clear()
-    yield
-    dp._elevated_stats.cache_clear()
-
-
 def _recolored_scan(inner_word, color):
     """dp._tower_runs, except that every tower of the one inner word takes
     the given color."""
@@ -350,7 +344,7 @@ def _recolored_scan(inner_word, color):
     ("upeak-label", "UUUDDD", False, {"n": 3, "m": 0}, "exception"),
     ("tower-ie", "UUUDDD", False, {"n": 3}, "exception"),
 ], ids=["upeak-label-gains", "tower-closed-gains", "upeak-label-loses", "tower-ie-loses"])
-def test_miscounted_colored_tower_fails(monkeypatch, capsys, fresh_stats, identity, inner,
+def test_miscounted_colored_tower_fails(monkeypatch, capsys, cold_memos, identity, inner,
                                         color, cell, left):
     monkeypatch.setattr(dp, "_tower_runs", _recolored_scan(inner, color))
     assert run(["verify", "--id", identity, "--n", "1..4", "--format", "json",
@@ -502,6 +496,6 @@ def test_a_tj_poly_column_steps_every_term_after_its_first(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(qfuncs, name, counted)
-    monkeypatch.setattr(qfuncs, "_held", {})
+    clear_memos()
     assert registry._check_column(ident, cells) == (45, None)
     assert counts == {"_direct_term": 6, "t_step": 39}

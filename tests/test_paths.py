@@ -32,6 +32,7 @@ from qkoshy.errors import DomainError, InvariantViolation, MalformedLabel, Scale
 from qkoshy.poly import Poly
 from qkoshy.qfuncs import ballot_number, catalan, q_ballot, q_catalan
 
+from conftest import clear_memos
 import oracles
 from oracles import ballot_weighted_gen
 
@@ -305,8 +306,7 @@ def _decomposed_by_lemma_rows(monkeypatch):
         return _real(inner)
 
     monkeypatch.setattr(dp, "decompose_towers", counting)
-    colored_towers.cache_clear()
-    dp._towers_of.cache_clear()
+    clear_memos()
     for ident in ("lemma1", "lemma2"):
         assert registry.verify(ident, bounds={"n": (1, 7)}, jobs=1).status == "pass"
     return seen
@@ -435,14 +435,12 @@ def test_colored_tower_table_keeps_the_invariant(monkeypatch):
         return tuple(t._replace(colored=False) for t in decompose_towers(inner))
 
     monkeypatch.setattr("qkoshy.dyckpaths.decompose_towers", uncolored)
-    colored_towers.cache_clear()
-    dp._towers_of.cache_clear()
+    clear_memos()
     try:
         with pytest.raises(InvariantViolation):
             colored_towers(3)
     finally:
-        colored_towers.cache_clear()
-        dp._towers_of.cache_clear()
+        clear_memos()
 
 
 def test_ballot_paths_content_and_order():
@@ -511,9 +509,9 @@ def test_labeled_gen_keeps_the_invariant(monkeypatch):
             yield s, h, c and inner != "UDUD"
 
     monkeypatch.setattr(dp, "_tower_runs", planted)
-    dp._elevated_stats.cache_clear()
+    clear_memos()
     try:
         with pytest.raises(InvariantViolation):
             labeled_gen(2, "colored-towers", 1)
     finally:
-        dp._elevated_stats.cache_clear()
+        clear_memos()

@@ -93,6 +93,7 @@ def test_ring_laws(a, b, c):
     assert (pa * pb) * pc == pa * (pb * pc)
     assert pa * (pb + pc) == pa * pb + pa * pc
     assert pa - pa == Poly.zero()
+    assert pa * 0 == 0 * pa == Poly.zero()
 
 
 @given(coeff_lists, coeff_lists)

@@ -16,6 +16,7 @@ from qkoshy.qfuncs import (
     ballot_number,
     catalan,
     cyclotomic,
+    cyclotomic_divides,
     narayana_number,
     narayana_poly,
     one_minus_q_to,
@@ -32,6 +33,7 @@ from qkoshy.qfuncs import (
     t_term_poly,
 )
 
+from conftest import clear_memos
 from oracles import eval_mod, t_term_mod
 
 
@@ -132,8 +134,7 @@ def binomial_mismatches(order):
     """The cells (m, k) of order, requested in that order from an empty
     q_binomial cache and table, whose binomial differs from the Pascal
     oracle or fails to build."""
-    q_binomial.cache_clear()
-    qfuncs._built.clear()
+    clear_memos()
     rows = pascal_triangle(max(m for m, _ in order))
     bad = []
     for m, k in order:
@@ -157,18 +158,7 @@ BUILD_ORDERS = {"row-major": ROW_MAJOR, "column-major": COLUMN_MAJOR,
 
 
 @pytest.fixture
-def fresh_binomials(monkeypatch):
-    """q_binomial with an empty cache and an empty table of built
-    binomials, and its cache emptied again afterwards, so a value built
-    under a planted fault cannot outlive the test."""
-    monkeypatch.setattr(qfuncs, "_built", {})
-    q_binomial.cache_clear()
-    yield
-    q_binomial.cache_clear()
-
-
-@pytest.fixture
-def ratio_calls(monkeypatch, fresh_binomials):
+def ratio_calls(monkeypatch, cold_memos):
     """The (tops, bottoms) of every q_ratio call that qfuncs makes."""
     calls = []
     real = qfuncs.q_ratio
@@ -182,12 +172,12 @@ def ratio_calls(monkeypatch, fresh_binomials):
 
 
 @pytest.mark.parametrize("order", BUILD_ORDERS.values(), ids=BUILD_ORDERS.keys())
-def test_q_binomial_whatever_the_build_order(fresh_binomials, order):
+def test_q_binomial_whatever_the_build_order(cold_memos, order):
     # each order reaches a cell through other neighbours and mirrors
     assert binomial_mismatches(order) == []
 
 
-def test_planted_column_step_refutes_the_oracle(monkeypatch, fresh_binomials):
+def test_planted_column_step_refutes_the_oracle(monkeypatch, cold_memos):
     # [m-1 choose k] to [m choose k] over 1 - q^k instead of 1 - q^(m-k)
     def planted(m, k):
         diagonal, (key, tops, _) = real(m, k)
@@ -255,7 +245,7 @@ def test_rows_cost_one_step_per_binomial(ratio_calls):
     assert len(keys) < sum(min(k, m - k) for m, k in cells)
 
 
-def test_built_table_stays_within_its_cap(monkeypatch, fresh_binomials):
+def test_built_table_stays_within_its_cap(monkeypatch, cold_memos):
     monkeypatch.setattr(qfuncs, "_BUILT_CAP", 5)
     rows = pascal_triangle(ORACLE_M)
     for m, k in SHUFFLED:
@@ -360,6 +350,24 @@ def test_cyclotomic_table():
         cyclotomic(0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.lists(st.integers(-9, 9), max_size=40),
+       st.sampled_from(("multiple", "multiple plus one", "shorter than d")))
+def test_cyclotomic_divides_agrees_with_long_division(d, g, form):
+    if form == "shorter than d":
+        c = tuple(g[: d - 1])
+    else:
+        c = (cyclotomic(d) * Poly(g) + int(form == "multiple plus one")).coeffs
+    try:
+        exact_div(Poly(c), cyclotomic(d))
+        want = True
+    except DivisionInexact:
+        want = False
+    assert cyclotomic_divides(c, d) is want
+    if form == "multiple":
+        assert want
+
+
 def test_q_binomial_sq():
     for m in range(0, 9):
         for k in range(0, m + 1):
@@ -377,7 +385,7 @@ def test_ballot_numbers():
 
 
 def test_q_ballot():
-    assert q_ballot(2, 1) == Poly(1, 1)
+    assert q_ballot(2, 1) == q_ballot(2, 1, method="difference") == Poly(1, 1)
     for n in range(1, 8):
         assert q_ballot(1, n) == q_catalan(n)
         for j in range(1, 5):
@@ -475,7 +483,7 @@ def test_direct_first_term_cancels_a_shared_factor(ratio_passes, n, j, passes):
 
 
 def test_t_term_diff_matches_products_and_t_term_poly():
-    qfuncs._held.clear()
+    clear_memos()
     for n in range(1, 31):
         for r in range(1, (n + 1) // 2 + 1):
             a, s = _product_andrews(r, n)
@@ -494,7 +502,7 @@ def test_t_term_poly_is_the_same_whatever_the_held_state(calls):
 
 
 def test_t_term_poly_orders_that_reuse_the_held_term():
-    qfuncs._held.clear()
+    clear_memos()
     order = [(1, 12, 3), (1, 12, 3), (2, 12, 3), (4, 12, 3), (3, 12, 3), (2, 12, 3),
              (3, 12, 3), (2, 11, 1), (4, 12, 3), (3, 11, 1), (5, 12, 3), (9, 12, 3)]
     for r, n, j in order:
@@ -511,7 +519,7 @@ def test_stepped_terms_against_poly_free_oracle():
     # product form share cannot pass (Schwartz 1980)
     rng = random.Random(20131)
     points = [rng.randrange(2, (1 << 61) - 2) for _ in range(3)]
-    qfuncs._held.clear()
+    clear_memos()
     for n in range(1, 31):
         for j in range(1, 5):
             for r in range(1, min(n, (n + j) // 2) + 2):
@@ -546,10 +554,10 @@ def test_poly_free_oracle_skips_vanishing_denominators():
     # is wrong, and only a comparison with a product form can tell
     (lambda nums, dens: (nums + (1,), dens), True),
 ])
-def test_planted_step_ratio_refutes_tj_poly_and_t_forms(monkeypatch, capsys, plant, exact):
+def test_planted_step_ratio_refutes_tj_poly_and_t_forms(monkeypatch, capsys, cold_memos,
+                                                        plant, exact):
     real = qfuncs._step_exponents
     monkeypatch.setattr(qfuncs, "_step_exponents", lambda r, n, j: plant(*real(r, n, j)))
-    monkeypatch.setattr(qfuncs, "_held", {})
     for ident, bounds in (("tj-poly", ["--n", "1..8", "--j", "1..3"]),
                           ("t-forms", ["--n", "1..8"])):
         assert run(["verify", "--id", ident] + bounds + ["--format", "json", "--jobs", "1"]) == 1
