@@ -96,10 +96,10 @@ BOUND_NAMES = tuple(dict.fromkeys(
 
 
 def _roster():
-    lines = ["identities: parameter=default range (floor, cap)"]
+    lines = ["identities: parameter=default range (cap); its low end is the floor"]
     for chk in registry.CHECKS.values():
-        params = "  ".join("%s=%d..%d (floor %d, cap %d)" % (name, lo, hi, floor, cap)
-                           for name, (floor, lo, hi, cap) in chk.params.items())
+        params = "  ".join("%s=%d..%d (cap %d)" % (name, lo, hi, cap)
+                           for name, (lo, hi, cap) in chk.params.items())
         lines.append("  %-19s %s" % (chk.id, params))
     return "\n".join(lines)
 

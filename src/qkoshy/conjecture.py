@@ -166,10 +166,10 @@ def ordered_map(fn, tasks, jobs=1):
             pool.join()
 
 
-def _rises_to_centre(p, j, d=None):
-    """Whether P * [j]_q is unimodal, for a palindrome P of degree D with
-    P_0 != 0, given as its coefficients P_0 .. P_k in the list p, where D
-    is d (len(p) - 1 when d is None) and k >= min(D, (D + j - 1) // 2).
+def _rises_to_centre(p, j, d):
+    """Whether P * [j]_q is unimodal, for a palindrome P of degree D = d with
+    P_0 != 0, given as its coefficients P_0 .. P_k in the list p, where
+    k >= min(D, (D + j - 1) // 2).
 
     The product c is a palindrome of degree D + j - 1, so it is unimodal
     exactly when it does not decrease up to its centre.  Since
@@ -177,8 +177,6 @@ def _rises_to_centre(p, j, d=None):
     P_i >= P_{i-j} for 1 <= i <= (D + j - 1) // 2, with P_k = 0 outside
     0..D, which is one comparison of P with itself shifted by j.
     """
-    if d is None:
-        d = len(p) - 1
     h = (d + j - 1) // 2
     # P_1 .. P_h against P_{1-j} .. P_{h-j}, with no copy of p; past the
     # end of fall both sides read zero, so map may stop there
@@ -281,7 +279,7 @@ def _sweep_column(case, n, m_max, j_max, skip):
             continue
         p = half + half[: d + 1 - len(half)][::-1]
         for j in todo:
-            if _rises_to_centre(p, j or 1):
+            if _rises_to_centre(p, j or 1, d):
                 continue
             cell = conjecture_poly(case, m, n, j)
             hit = unimodal_break_index(cell)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -87,16 +87,13 @@ def pair_box(n: int, j: int) -> int:
     return n - 1 if j == 1 else n
 
 
-class PartitionPair:
-    """Level-r object of the involution family in context (n, j).
+class PartitionPair(namedtuple("PartitionPair", "mu nu n j")):
+    """Level-r object of the involution family in context (n, j): a named
+    tuple, checked in __new__, that equals only another PartitionPair."""
 
-    Immutable, and compared and hashed by value.  A __slots__ class, not a
-    frozen dataclass, since the involution builds one per step.
-    """
+    __slots__ = ()
 
-    __slots__ = ("mu", "nu", "n", "j")
-
-    def __init__(self, mu: tuple, nu: tuple, n: int, j: int):
+    def __new__(cls, mu: tuple, nu: tuple, n: int, j: int):
         if n < 1 or j < 1:
             raise InvariantViolation("need n >= 1 and j >= 1")
         box = pair_box(n, j)
@@ -114,33 +111,20 @@ class PartitionPair:
             raise InvariantViolation("nu needs exactly %d parts, got %d" % (want, len(nu)))
         if not all(map(ge, nu, nu[1:])) or (nu and (nu[-1] < 1 or nu[0] > box)):
             raise InvariantViolation("nu parts must weakly decrease within [1, %d]" % box)
-        _set_mu(self, mu)
-        _set_nu(self, nu)
-        _set_n(self, n)
-        _set_j(self, j)
+        return tuple.__new__(cls, (mu, nu, n, j))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PartitionPair is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("PartitionPair is immutable")
-
-    def _key(self):
-        return self.mu, self.nu, self.n, self.j
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make too, so neither skips the checks
+        return cls(*iterable)
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+        return isinstance(other, PartitionPair) and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._key())
+    def __ne__(self, other):
+        return not self == other
 
-    def __repr__(self):
-        return "PartitionPair(mu=%r, nu=%r, n=%r, j=%r)" % self._key()
-
-    def __reduce__(self):
-        return PartitionPair, self._key()
+    __hash__ = tuple.__hash__
 
     @property
     def r(self) -> int:
@@ -152,11 +136,6 @@ class PartitionPair:
 
     def render(self) -> str:
         return "(%s, %s)" % (render_partition(self.mu), render_partition(self.nu))
-
-
-# the slot descriptors write past PartitionPair's own __setattr__
-_set_mu, _set_nu, _set_n, _set_j = (getattr(PartitionPair, k).__set__
-                                    for k in PartitionPair.__slots__)
 
 
 def involution_step(pair: PartitionPair) -> PartitionPair:

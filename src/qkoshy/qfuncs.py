@@ -5,6 +5,8 @@ genuinely a quotient).  Every quotient here (q-binomial, q-Catalan,
 q-ballot, T-term) has one shape: factors 1 - q^a over factors 1 - q^b,
 and each one is a single poly.q_ratio call on coefficient lists; a
 division by [k]_q = (1 - q^k) / (1 - q) is written that way too.
+q_ratio is the only way to apply a factor 1 - q^a, here and in the
+registry's checkers alike.
 A Gaussian binomial comes one step from a built neighbour: its mirror
 [m choose m-k] costs nothing, and [m-1 choose k-1] or [m-1 choose k]
 cost one factor above and one below.  Only a binomial with neither of
@@ -54,14 +56,6 @@ def q_pochhammer(sign: str, a: int, r: int) -> Poly:
     for i in range(r):
         out = out * (Poly.one() + Poly.monomial(a + i, unit))
     return out
-
-
-@lru_cache(maxsize=512)
-def one_minus_q_to(k: int) -> Poly:
-    """1 - q^k for k >= 1."""
-    if k < 1:
-        raise DomainError("one_minus_q_to needs k >= 1, got %d" % k)
-    return Poly._raw((1,) + (0,) * (k - 1) + (-1,))
 
 
 # Every binomial built, keyed (m, min(k, m - k)): the very Poly that

@@ -1,20 +1,21 @@
 """Registry of executable identity checks.
 
 Each row binds an identity id to a per-cell checker and declares its
-parameters: a floor below which a parameter leaves the identity's
-domain, a default range and a cap, plus at most one predicate over the
-whole cell.  Checkers return None on success or a small dict with
-rendered left/right values and a difference.  verify() hands ordered_map
-one task per column, the sorted cells that share the row's first
-parameter, so what a checker keeps per value of it (T-terms stepped in r,
-a tower table per n) stays in one process, and a box with one value of
-it runs in one process.  The first counterexample ends the run, after the
-at most 2 * jobs columns in flight, and the outcome is wrapped in an
-IdentityReport.  All comparisons are exact; a domain error raised by a
-checker is reported as a failure, never swallowed.  A ScaleLimit (a hard
-enumeration guard, which --force does not lift) and any exception that is
-not a QKoshyError end the run instead: neither refutes the identity, so
-each is re-raised naming the row and the cell.
+parameters, each as (lo, hi, cap): a default range whose low end lo is
+also the parameter's floor, the least value in the identity's domain,
+and a cap, plus at most one predicate over the whole cell.  Checkers
+return None on success or a small dict with rendered left/right values
+and a difference.  verify() hands ordered_map one task per column, the
+sorted cells that share the row's first parameter, so what a checker
+keeps per value of it (T-terms stepped in r, a tower table per n) stays
+in one process, and a box with one value of it runs in one process.  The
+first counterexample ends the run, after the at most 2 * jobs columns in
+flight, and the outcome is wrapped in an IdentityReport.  All
+comparisons are exact; a domain error raised by a checker is reported as
+a failure, never swallowed.  A ScaleLimit (a hard enumeration guard,
+which --force does not lift) and any exception that is not a QKoshyError
+end the run instead: neither refutes the identity, so each is re-raised
+naming the row and the cell.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .qfuncs import (
     catalan,
     cyclotomic_divides,
     narayana_poly,
-    one_minus_q_to,
     q_ballot,
     q_binomial,
     q_binomial_sq,
@@ -70,8 +70,8 @@ class Check:
     """One registry row.
 
     params maps each parameter, in the order the checker takes a cell's
-    values, to (floor, default lo, default hi, cap); keep, if given, is a
-    predicate over a whole cell.
+    values, to (lo, hi, cap): its default range, whose low end is also its
+    floor, and its cap; keep, if given, is a predicate over a whole cell.
     """
 
     id: str
@@ -80,9 +80,10 @@ class Check:
     keep: object = None
 
     def cells(self, bounds: dict) -> list:
-        """The cells of a box in sorted order, each bound clipped at its floor."""
-        axes = [range(max(bounds[k][0], floor), bounds[k][1] + 1)
-                for k, (floor, _, _, _) in self.params.items()]
+        """The cells of a box in sorted order, each bound clipped at its
+        parameter's lo."""
+        axes = [range(max(bounds[k][0], lo), bounds[k][1] + 1)
+                for k, (lo, _, _) in self.params.items()]
         return [c for c in product(*axes) if self.keep is None or self.keep(*c)]
 
 
@@ -102,7 +103,7 @@ def _in_one_minus_q(coeffs) -> Poly:
     by Horner's rule: each step is one multiply by 1 - q."""
     total = Poly.zero()
     for c in reversed(coeffs):
-        total = total * one_minus_q_to(1) + c
+        total = Poly._raw(q_ratio(total.coeffs, (1,), (), "(1 - q) * p")) + c
     return total
 
 
@@ -156,8 +157,9 @@ def _chk_lassalle(n):
 def _ie_term(n, m, r, f):
     """The m-th inclusion-exclusion term of the tower and Lassalle rows:
     sum over k = m..n of C(n-k+1+r, m) C(k-1, m-1) (1-q)^(k-m) f(n-k) q^m."""
+    # C(n-k+1+r, m) is 0 past k = n+1+r-m, and so is every term there
     return _in_one_minus_q([f(n - k) * (comb(n - k + 1 + r, m) * comb(k - 1, m - 1))
-                            for k in range(m, n + 1)]).shift(m)
+                            for k in range(m, min(n, n + 1 + r - m) + 1)]).shift(m)
 
 
 def _ie_alternating(n, r, f):
@@ -182,8 +184,6 @@ def _chk_tower_closed(n, m):
 
 def _lemma1_target(n, m):
     out = set()
-    if n < 0:
-        return out
     for p in dp.iter_elevated(n):
         usteps = [i for i, c in enumerate(p) if c == "U"]
         for lab in combinations(usteps, m):
@@ -405,9 +405,9 @@ def _chk_tj_poly(n, r, j):
     (n, j), while the right side multiplies the two q-binomials: a
     stepping fault shows here even when every stepped row agrees with
     itself."""
-    lhs = t_term_poly(r, n, j) * one_minus_q_to(n)
+    lhs = Poly._raw(q_ratio(t_term_poly(r, n, j).coeffs, (n,), (), "tj-poly"))
     core = q_binomial_sq(n, r) * q_binomial(2 * n + j - 1 - 2 * r, n - 1)
-    rhs = (core * one_minus_q_to(j)).shift(r * r - r)
+    rhs = Poly._raw(q_ratio(core.coeffs, (j,), (), "tj-poly")).shift(r * r - r)
     return _eq(lhs, rhs)
 
 
@@ -450,69 +450,69 @@ def _chk_brunetti(n, r):
     return None
 
 
-# -- rows: each parameter is (floor, default lo, default hi, cap) -------
+# -- rows: each parameter is (default lo, default hi, cap) --------------
 
 CHECKS: dict[str, Check] = {chk.id: chk for chk in (
-    Check("koshy", _chk_koshy, {"n": (1, 1, 200, 2000)}),
+    Check("koshy", _chk_koshy, {"n": (1, 200, 2000)}),
     Check("upeak-label", _chk_upeak_label,
-          {"n": (0, 0, 10, 12), "m": (0, 0, 11, 14)},
+          {"n": (0, 10, 12), "m": (0, 11, 14)},
           lambda n, m: m <= n + 1),
-    Check("upeak-gf", _chk_upeak_gf, {"n": (0, 0, 12, 13)}),
-    Check("lassalle", _chk_lassalle, {"n": (1, 1, 60, 200)}),
-    Check("lassalle-transform", _chk_lassalle_transform, {"n": (1, 1, 20, 120)}),
-    Check("tower-ie", _chk_tower_ie, {"n": (1, 1, 9, 12)}),
+    Check("upeak-gf", _chk_upeak_gf, {"n": (0, 12, 13)}),
+    Check("lassalle", _chk_lassalle, {"n": (1, 60, 200)}),
+    Check("lassalle-transform", _chk_lassalle_transform, {"n": (1, 20, 120)}),
+    Check("tower-ie", _chk_tower_ie, {"n": (1, 9, 12)}),
     Check("tower-closed", _chk_tower_closed,
-          {"n": (1, 1, 9, 12), "m": (1, 1, 9, 12)},
+          {"n": (1, 9, 12), "m": (1, 9, 12)},
           lambda n, m: m <= n),
     Check("lemma1", _chk_lemma1,
-          {"n": (1, 1, 8, 10), "m": (1, 1, 8, 10)},
+          {"n": (1, 8, 10), "m": (1, 8, 10)},
           lambda n, m: m <= n),
     Check("lemma2", _chk_lemma2,
-          {"n": (1, 1, 8, 10), "m": (1, 1, 8, 10), "r": (1, 1, 8, 10)},
+          {"n": (1, 8, 10), "m": (1, 8, 10), "r": (1, 8, 10)},
           lambda n, m, r: r <= m <= n),
     Check("ballot-lassalle", _chk_ballot_lassalle,
-          {"n": (1, 1, 8, 10), "r": (0, 0, 3, 6)}),
-    Check("andrews", _chk_andrews, {"n": (1, 1, 60, 120)}),
+          {"n": (1, 8, 10), "r": (0, 3, 6)}),
+    Check("andrews", _chk_andrews, {"n": (1, 60, 120)}),
     Check("t-forms", _chk_t_forms,
-          {"n": (1, 1, 30, 80), "r": (1, 1, 30, 80)},
+          {"n": (1, 30, 80), "r": (1, 30, 80)},
           lambda n, r: r <= (n + 1) // 2),
     Check("theorem1-even", _chk_theorem1,
-          {"n": (2, 1, 60, 120), "r": (1, 1, 60, 120)},
+          {"n": (1, 60, 120), "r": (1, 60, 120)},
           lambda n, r: n % 2 == 0 and r <= n // 2),
     Check("theorem1-odd", _chk_theorem1,
-          {"n": (1, 1, 60, 120), "r": (1, 1, 60, 120)},
+          {"n": (1, 60, 120), "r": (1, 60, 120)},
           lambda n, r: n % 2 == 1 and r <= (n + 1) // 2),
-    Check("theorem1-negq", _chk_theorem1_negq, {"r": (1, 1, 30, 60)}),
+    Check("theorem1-negq", _chk_theorem1_negq, {"r": (1, 30, 60)}),
     Check("cyclo-div", _chk_cyclo_div,
-          {"n": (2, 2, 40, 100), "r": (1, 1, 40, 100)},
+          {"n": (2, 40, 100), "r": (1, 40, 100)},
           lambda n, r: n % 2 == 0 and r <= n // 2),
-    Check("invT", _chk_invT, {"n": (2, 2, 40, 80)}),
+    Check("invT", _chk_invT, {"n": (2, 40, 80)}),
     Check("partheo", _chk_partheo,
-          {"n": (1, 1, 12, 30), "r": (0, 0, 12, 15)},
+          {"n": (1, 12, 30), "r": (0, 12, 15)},
           lambda n, r: r in pt.level_range(n, 1)),
     Check("iepar", _chk_iepar,
-          {"n": (2, 2, 10, 12), "r": (0, 0, 10, 12)},
+          {"n": (2, 10, 12), "r": (0, 10, 12)},
           lambda n, r: r in pt.level_range(n, 1)),
     Check("qballot-forms", _chk_qballot_forms,
-          {"n": (1, 1, 40, 120), "j": (1, 1, 6, 12)}),
+          {"n": (1, 40, 120), "j": (1, 6, 12)}),
     Check("qballot-koshy", _chk_qballot_koshy,
-          {"n": (1, 1, 40, 120), "j": (1, 1, 6, 12)}),
+          {"n": (1, 40, 120), "j": (1, 6, 12)}),
     Check("tj-poly", _chk_tj_poly,
-          {"n": (1, 1, 40, 120), "r": (1, 1, 40, 60), "j": (1, 1, 6, 12)},
+          {"n": (1, 40, 120), "r": (1, 40, 60), "j": (1, 6, 12)},
           lambda n, r, j: r <= min(n, (n + j) // 2)),
     Check("tj-negq", _chk_tj_negq,
-          {"r": (1, 1, 40, 60), "j": (1, 1, 40, 60)},
+          {"r": (1, 40, 60), "j": (1, 40, 60)},
           lambda r, j: j <= r),
     Check("qlucas", _chk_qlucas,
-          {"m": (0, 0, 40, 120), "k": (0, 0, 40, 120), "d": (2, 2, 12, 40)},
+          {"m": (0, 40, 120), "k": (0, 40, 120), "d": (2, 12, 40)},
           lambda m, k, d: k <= m),
-    Check("maj-catalan", _chk_maj_catalan, {"n": (0, 0, 10, 13)}),
+    Check("maj-catalan", _chk_maj_catalan, {"n": (0, 10, 13)}),
     Check("maj-ballot", _chk_maj_ballot,
-          {"n": (1, 1, 8, 10), "j": (1, 1, 4, 8)}),
+          {"n": (1, 8, 10), "j": (1, 4, 8)}),
     Check("succ-ranks", _chk_succ_ranks,
-          {"n": (1, 1, 8, 10), "j": (1, 1, 4, 6)}),
+          {"n": (1, 8, 10), "j": (1, 4, 6)}),
     Check("brunetti-instance", _chk_brunetti,
-          {"n": (2, 2, 60, 200), "r": (1, 1, 60, 200)},
+          {"n": (2, 60, 200), "r": (1, 60, 200)},
           lambda n, r: r < n),
 )}
 
@@ -550,10 +550,10 @@ def verify(identity_id: str, bounds: dict | None = None, jobs: int = 1,
 
     bounds maps parameter names to inclusive (lo, hi) pairs and merges
     over the row's defaults; the report keeps these bounds, while cells
-    below a parameter's floor are left out.  Cells are checked in sorted
-    order and the first counterexample ends the run.  force bypasses the
-    per-row caps, though enumeration-backed rows still hit the hard
-    path-count guards, which raise ScaleLimit.
+    below a parameter's default lo, its floor, are left out.  Cells are
+    checked in sorted order and the first counterexample ends the run.
+    force bypasses the per-row caps, though enumeration-backed rows still
+    hit the hard path-count guards, which raise ScaleLimit.
     """
     if identity_id not in CHECKS:
         raise UnknownIdentity("no identity %r; known: %s"
@@ -561,13 +561,13 @@ def verify(identity_id: str, bounds: dict | None = None, jobs: int = 1,
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
     chk = CHECKS[identity_id]
-    eff = {k: (lo, hi) for k, (_, lo, hi, _) in chk.params.items()}
+    eff = {k: (lo, hi) for k, (lo, hi, _) in chk.params.items()}
     for k, v in (bounds or {}).items():
         if k not in eff:
             raise DomainError("identity %s has no parameter %r" % (identity_id, k))
         eff[k] = (int(v[0]), int(v[1]))
     if not force:
-        for k, (_, _, _, cap) in chk.params.items():
+        for k, (_, _, cap) in chk.params.items():
             if eff[k][1] > cap:
                 raise ScaleLimit("%s: %s up to %d exceeds guard %d"
                                  % (identity_id, k, eff[k][1], cap))

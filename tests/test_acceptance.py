@@ -190,9 +190,8 @@ def test_criterion_12_conjecture_sweep(all_runs, monkeypatch, tmp_path):
             return 4
         return real(p)
 
-    def planted_verdict(p, j, d=None):
+    def planted_verdict(p, j, d):
         # the verdict is handed the lower half of P, or all of it
-        d = len(p) - 1 if d is None else d
         hit = d == target.degree and target.coeffs[: len(p)] == tuple(p)
         return not hit and real_verdict(p, j, d)
 

@@ -175,8 +175,8 @@ def test_verify_help_lists_rows(capsys):
     for ident, chk in registry.CHECKS.items():
         row = [ln for ln in lines if ln.split()[:1] == [ident]]
         assert len(row) == 1, ident
-        for name, (floor, lo, hi, cap) in chk.params.items():
-            assert "%s=%d..%d (floor %d, cap %d)" % (name, lo, hi, floor, cap) in row[0]
+        for name, (lo, hi, cap) in chk.params.items():
+            assert "%s=%d..%d (cap %d)" % (name, lo, hi, cap) in row[0]
 
 
 def test_verify_failure_exit_1(capsys, monkeypatch):
@@ -372,9 +372,8 @@ def _plant_sweep(mp):
     def planted(p):
         return 4 if p == target else real(p)
 
-    def planted_verdict(p, j, d=None):
+    def planted_verdict(p, j, d):
         # the verdict is handed the lower half of P, or all of it
-        d = len(p) - 1 if d is None else d
         hit = d == target.degree and target.coeffs[: len(p)] == tuple(p)
         return not hit and real_verdict(p, j, d)
 

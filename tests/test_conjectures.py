@@ -87,7 +87,7 @@ def palindromes(draw):
 def test_criterion_matches_product_scan(p, j):
     # degree D < j is common here, so P_{i-j} must read 0 for i < j
     # rather than wrap round to the top of the list
-    assert cj._rises_to_centre(p, j) == scan_verdict(p, j)
+    assert cj._rises_to_centre(p, j, len(p) - 1) == scan_verdict(p, j)
 
 
 def test_criterion_pinned_cells():
@@ -96,16 +96,16 @@ def test_criterion_pinned_cells():
     p = (Poly.one() + Poly.monomial(2)) * q_binomial(2, 1)
     assert p.coeffs == (1, 1, 1, 1)
     for j in range(1, 11):
-        assert cj._rises_to_centre(list(p.coeffs), j) is True
+        assert cj._rises_to_centre(list(p.coeffs), j, p.degree) is True
     assert cj._sweep_column("even-n", 2, 2, 10, None) == (5, [], [])
     # 1 + 2q^2 + q^4 dips at q^1; times [2]_q the dip is filled, times
     # [3]_q it comes back as 1 + q + 3q^2 + 2q^3 + ...
     gap = [1, 0, 2, 0, 1]
-    assert [cj._rises_to_centre(gap, j) for j in (1, 2, 3)] == [False, True, False]
+    assert [cj._rises_to_centre(gap, j, 4) for j in (1, 2, 3)] == [False, True, False]
     assert [scan_verdict(gap, j) for j in (1, 2, 3)] == [False, True, False]
     # 2 + q + q^2 + 2q^3 dips in the middle, and still does times [2]_q
     dip = [2, 1, 1, 2]
-    assert [cj._rises_to_centre(dip, j) for j in (1, 2, 3)] == [False, False, True]
+    assert [cj._rises_to_centre(dip, j, 3) for j in (1, 2, 3)] == [False, False, True]
     assert [scan_verdict(dip, j) for j in (1, 2, 3)] == [False, False, True]
 
 
@@ -130,17 +130,15 @@ def test_odd_degree_needs_the_step_one_scan():
     # so only the scan of P itself, at step 1, refuses it
     p = [1, 0, 1, 1, 0, 1]
     assert scan_verdict(p, 2) and not scan_verdict(p, 4)
-    assert cj._rises_to_centre(p, 2) and not cj._rises_to_centre(p, 1)
+    assert cj._rises_to_centre(p, 2, 5) and not cj._rises_to_centre(p, 1, 5)
     assert not cj._rises_for_every_even_j(p, 5)
     assert not cj._rises_for_every_even_j(p[:4], 5)
 
 
-def ext_rises(p, j, d=None):
+def ext_rises(p, j, d):
     """_rises_to_centre as it was written with a zero-padded copy of p:
     P_1 .. P_h against P_{1-j} .. P_{h-j}, the reference for its
     copy-free scan."""
-    if d is None:
-        d = len(p) - 1
     h = (d + j - 1) // 2
     ext = [0] * j + p[: h + 1]
     ext += [0] * (j + h + 1 - len(ext))
@@ -153,7 +151,7 @@ def test_copy_free_scan_matches_the_padded_copy(p, j, cut):
     # j > D + 1 is common here; a prefix of p stands for the half lists
     # the sweep passes, and may be shorter than the h + 1 entries read
     d = len(p) - 1
-    assert cj._rises_to_centre(p, j) == ext_rises(p, j)
+    assert cj._rises_to_centre(p, j, d) == ext_rises(p, j, d)
     short = p[: max(len(p) - cut, 1)]
     assert cj._rises_to_centre(short, j, d) == ext_rises(short, j, d)
 
@@ -448,8 +446,7 @@ def _failing_at(*cells, jays=None):
     real = cj._rises_to_centre
     bad = {p.coeffs for p in cells}
 
-    def verdict(p, j, d=None):
-        d = len(p) - 1 if d is None else d
+    def verdict(p, j, d):
         hit = any(len(c) == d + 1 and c[: len(p)] == tuple(p) for c in bad)
         return not (hit and (jays is None or j in jays)) and real(p, j, d)
 
@@ -502,7 +499,7 @@ def test_failing_even_row_falls_back_to_the_per_j_scans(monkeypatch, jobs):
     real_break = cj.unimodal_break_index
     monkeypatch.setattr(cj, "unimodal_break_index", lambda p: planted.get(p) or real_break(p))
     two, one = _failing_at(_row_poly(7, 4), jays=(2, 4)), _failing_at(_row_poly(8, 4), jays=(1,))
-    monkeypatch.setattr(cj, "_rises_to_centre", lambda p, j, d=None: two(p, j, d) and one(p, j, d))
+    monkeypatch.setattr(cj, "_rises_to_centre", lambda p, j, d: two(p, j, d) and one(p, j, d))
     rep = cj.sweep("even-n", 10, 10, 10, jobs=jobs)
     assert rep.counterexamples == [
         {"params": {"m": 7, "n": 4, "j": j}, "poly": str(cells[j]), "break_index": hits[j]}

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qkoshy import dyckpaths as dp
+from qkoshy import partitions as pt
 from qkoshy import qfuncs, registry
 from qkoshy.cli import run
 from qkoshy.errors import DomainError, QKoshyError, ScaleLimit, UnknownIdentity
@@ -123,9 +124,10 @@ def test_rows_pass_on_reduced_grids(ident):
 
 @pytest.mark.parametrize("ident", list(registry.CHECKS))
 def test_bounds_below_floor_are_clipped(ident):
-    # a box one below a floor checks exactly the cells of the box at it
+    # a box one below a floor, a default lo, checks exactly the cells of
+    # the box at it
     params = registry.CHECKS[ident].params
-    box = {k: (floor, floor + 3) for k, (floor, _, _, _) in params.items()}
+    box = {k: (lo, lo + 3) for k, (lo, _, _) in params.items()}
     at = registry.verify(ident, bounds=box)
     assert at.status == "pass" and at.cells_checked > 0, at.to_dict()
     for k, (lo, hi) in box.items():
@@ -243,6 +245,74 @@ def test_negative_coefficient_is_reported(monkeypatch, capsys, identity, bounds,
     d = json.loads(capsys.readouterr().out)
     assert d["status"] == "fail"
     assert d["counterexample"] == {"cell": cell, "left": left, "right": right, "diff": diff}
+
+
+def _plus(extra):
+    """A planted input: the real function's value plus extra."""
+    return lambda real: lambda *args, **kw: real(*args, **kw) + extra
+
+
+def _const(value):
+    """A planted input: value, whatever the arguments."""
+    return lambda real: lambda *args, **kw: value
+
+
+_Q9 = Poly.monomial(9)
+
+
+@pytest.mark.parametrize("identity,bounds,plants,right,diff", [
+    pytest.param("lemma1", {"n": (1, 1), "m": (1, 1)}, [(registry, "_koshy_term", _plus(1))],
+                 "2", "cardinality mismatch (target 1)", id="lemma1-cardinality"),
+    pytest.param("t-forms", {"n": (1, 1), "r": (1, 1)}, [(registry, "t_term_poly", _plus(_Q9))],
+                 "1", "q^9", id="t-forms-tr21"),
+    pytest.param("cyclo-div", {"n": (2, 2), "r": (1, 1)},
+                 [(registry, "cyclotomic_divides", _const(True)), (registry, "q_binomial", _plus(1))],
+                 "divisible by [2]_q", "inexact division", id="cyclo-div-q-int"),
+    pytest.param("invT", {"n": (2, 2)}, [(registry, "q_binomial_sq", _plus(_Q9))],
+                 "1 + q^9", "-q^9", id="invT-sides"),
+    pytest.param("invT", {"n": (2, 2)}, [(pt, "level_range", _const(range(1)))],
+                 "0", "alternating partition sum did not vanish", id="invT-partition-sum"),
+    pytest.param("partheo", {"n": (2, 2), "r": (1, 1)}, [(pt, "mu_side", _plus(_Q9))],
+                 "q^2", "q^9", id="partheo-mu"),
+    pytest.param("partheo", {"n": (2, 2), "r": (1, 1)}, [(pt, "nu_side", _plus(_Q9))],
+                 "q", "q^9", id="partheo-nu"),
+    pytest.param("qballot-forms", {"n": (1, 1), "j": (1, 1)},
+                 [(registry, "q_ballot", lambda real: lambda j, n, method="quotient":
+                   real(j, n, method=method) + (_Q9 if method == "difference" else 0))],
+                 "1 + q^9", "-q^9", id="qballot-forms-two-forms"),
+    pytest.param("qballot-forms", {"n": (1, 1), "j": (1, 1)}, [(registry, "q_catalan", _plus(_Q9))],
+                 "1 + q^9", "-q^9", id="qballot-forms-catalan"),
+    pytest.param("brunetti-instance", {"n": (2, 2), "r": (1, 1)},
+                 [(registry, "q_binomial", _const(Poly(1, 0, 1)))],
+                 "unimodal", "break at q^2", id="brunetti-unimodal"),
+    pytest.param("brunetti-instance", {"n": (2, 2), "r": (1, 1)},
+                 [(registry, "q_binomial", _const(Poly(2, 1)))],
+                 "reciprocal", "coefficient list is not palindromic", id="brunetti-palindrome"),
+])
+def test_each_failure_verdict_is_reached(monkeypatch, identity, bounds, plants, right, diff):
+    # one planted input per failure branch of a checker, on a one-cell box;
+    # each branch is the only one that sees its fault
+    for module, name, plant in plants:
+        monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    rep = registry.verify(identity, bounds)
+    assert rep.status == "fail", rep.to_dict()
+    assert (rep.counterexample["right"], rep.counterexample["diff"]) == (right, diff)
+
+
+def test_ie_terms_multiply_by_no_zero(monkeypatch, cold_memos):
+    # C(n-k+1+r, m) is 0 for k past n+1+r-m, so _ie_term builds no term there
+    zeros = Counter()
+    real = Poly.__mul__
+
+    def counted(self, other):
+        zeros[isinstance(other, int) and other == 0] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    for ident, n in (("lassalle-transform", 26), ("tower-closed", 7), ("ballot-lassalle", 7)):
+        assert registry.verify(ident, {"n": (1, n)}).status == "pass"
+    assert zeros[False] > 0 and zeros[True] == 0
 
 
 def _merged_images(forward):
@@ -404,7 +474,7 @@ def test_jobs_determinism(monkeypatch):
 
 def _box_cells(ident, bounds):
     chk = registry.CHECKS[ident]
-    return chk.cells({**{k: (lo, hi) for k, (_, lo, hi, _) in chk.params.items()}, **bounds})
+    return chk.cells({**{k: (lo, hi) for k, (lo, hi, _) in chk.params.items()}, **bounds})
 
 
 def _recorded_tasks(monkeypatch, ident, bounds, jobs=2):

@@ -155,6 +155,13 @@ def test_pair_is_an_immutable_value():
     assert pair.mu == (2,) and pair.nu == (2, 1)
 
 
+def test_pair_replace_is_checked():
+    pair = PartitionPair((2,), (2, 1), 3, 1)
+    assert pair._replace(mu=(1,)) == PartitionPair((1,), (2, 1), 3, 1)
+    with pytest.raises(InvariantViolation, match="mu part 3 at position 1 exceeds cap 2"):
+        pair._replace(mu=(3,))
+
+
 @pytest.mark.parametrize("mu, nu, n, j, message", [
     ((), (), 0, 1, "need n >= 1 and j >= 1"),
     ((), (1,), 1, 0, "need n >= 1 and j >= 1"),

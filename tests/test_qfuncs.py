@@ -19,7 +19,6 @@ from qkoshy.qfuncs import (
     cyclotomic_divides,
     narayana_number,
     narayana_poly,
-    one_minus_q_to,
     q_ballot,
     q_binomial,
     q_binomial_sq,
@@ -253,14 +252,6 @@ def test_built_table_stays_within_its_cap(monkeypatch, cold_memos):
         assert len(qfuncs._built) <= 5
 
 
-def test_one_minus_q_to_domain():
-    assert qfuncs.one_minus_q_to(1) == Poly(1, -1)
-    assert qfuncs.one_minus_q_to(3) == Poly(1, 0, 0, -1)
-    for k in (0, -3):
-        with pytest.raises(DomainError):
-            qfuncs.one_minus_q_to(k)
-
-
 def test_q_int_and_factorial():
     assert q_int(0) == Poly.zero()
     assert q_int(1) == Poly.one()
@@ -422,7 +413,7 @@ def _product_t(r, n, j):
     if r > n or n < 2 * r - j:
         return Poly.zero()
     core = q_binomial_sq(n, r) * q_binomial(2 * n + j - 1 - 2 * r, n - 1)
-    return exact_div(core * one_minus_q_to(j), one_minus_q_to(n)).shift(r * r - r)
+    return exact_div(core * (1 - Poly.monomial(j)), 1 - Poly.monomial(n)).shift(r * r - r)
 
 
 def _product_andrews(r, n):
