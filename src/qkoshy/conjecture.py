@@ -31,9 +31,8 @@ import errno
 import json
 import os
 import time
-from collections import deque
+from collections import deque, namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain, islice, repeat, starmap
 from operator import add, ge
 
@@ -78,14 +77,10 @@ def conjecture_poly(case: str, m: int, n: int, j: int = None) -> Poly:
     return lead * q_int(j) * q_binomial(m, n - 1)
 
 
-@dataclass
-class SweepReport:
-    case_id: str
-    grid: dict
-    verified_cells: int
-    counterexamples: list
-    frontier: dict
-    elapsed_ms: int = 0
+class SweepReport(namedtuple("SweepReport",
+                             "case_id grid verified_cells counterexamples frontier elapsed_ms",
+                             defaults=(0,))):
+    __slots__ = ()
 
     @property
     def status(self) -> str:

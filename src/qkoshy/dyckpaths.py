@@ -41,7 +41,6 @@ import re
 import sys
 from bisect import bisect_left
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -232,11 +231,10 @@ def decompose_towers(inner: str):
     return tuple(map(Tower._make, _tower_runs(inner)))
 
 
-@dataclass(frozen=True)
-class PathStats:
-    peaks: int
-    up_peaks: int
-    towers: tuple[Tower, ...]
+class PathStats(namedtuple("PathStats", "peaks up_peaks towers")):
+    """Peak and up-peak counts of an elevated path, and its inner Towers."""
+
+    __slots__ = ()
 
 
 # 1 << 15 holds all 23,714 elevated paths with at most 10 inner U-steps,
@@ -345,29 +343,40 @@ def peak_dist(k: int) -> Poly:
 # -- labeled paths and the two bijections -----------------------------
 
 
-@dataclass(frozen=True)
-class LabeledPath:
-    """An elevated path with labeled statistic elements.
+class LabeledPath(namedtuple("LabeledPath", "path kind s_labels w_labels")):
+    """An elevated path with labeled statistic elements: a named tuple,
+    checked and with its labels sorted in __new__, that equals only
+    another LabeledPath.
 
     kind "towers": s_labels (and w_labels) are tower start indices in
     the inner path.  kind "usteps": s_labels are U-step indices in the
     whole path, 0 being the elevating step.
     """
 
-    path: str
-    kind: str
-    s_labels: tuple[int, ...]
-    w_labels: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("towers", "usteps"):
-            raise MalformedLabel("unknown label kind %r" % self.kind)
-        if len(set(self.s_labels)) != len(self.s_labels):
+    def __new__(cls, path: str, kind: str, s_labels: tuple, w_labels: tuple = ()):
+        if kind not in ("towers", "usteps"):
+            raise MalformedLabel("unknown label kind %r" % kind)
+        s = set(s_labels)
+        if len(s) != len(s_labels):
             raise MalformedLabel("duplicate s-labels")
-        if not set(self.w_labels) <= set(self.s_labels):
+        if not s.issuperset(w_labels):
             raise MalformedLabel("w-labels must be a subset of s-labels")
-        object.__setattr__(self, "s_labels", tuple(sorted(self.s_labels)))
-        object.__setattr__(self, "w_labels", tuple(sorted(self.w_labels)))
+        return tuple.__new__(cls, (path, kind, tuple(sorted(s)), tuple(sorted(w_labels))))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make too, so neither skips the checks
+        return cls(*iterable)
+
+    def __eq__(self, other):
+        return isinstance(other, LabeledPath) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 def _labeled_towers(lp: LabeledPath):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import add, and_, lshift, neg, rshift, sub
 
@@ -405,12 +405,9 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     return Poly._raw(quot)
 
 
-@dataclass(frozen=True)
-class Shape:
-    is_nonnegative: bool
-    is_reciprocal: bool
-    is_unimodal: bool
-    nonneg_prefix_degree: int
+class Shape(namedtuple("Shape",
+                       "is_nonnegative is_reciprocal is_unimodal nonneg_prefix_degree")):
+    __slots__ = ()
 
 
 def shape(a: Poly) -> Shape:
@@ -463,16 +460,20 @@ def unimodal_break_index(a: Poly):
     return None if i == top else i + 1
 
 
-@dataclass(frozen=True)
-class RationalForm:
+class RationalForm(namedtuple("RationalForm", "num den")):
     """A fraction of polynomials, never normalized; den must be nonzero."""
 
-    num: Poly
-    den: Poly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.den.is_zero():
+    def __new__(cls, num: Poly, den: Poly):
+        if den.is_zero():
             raise ZeroDivisionError("rational form with zero denominator")
+        return tuple.__new__(cls, (num, den))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make too, so neither skips the check
+        return cls(*iterable)
 
     def __str__(self):
         return "(%s) / (%s)" % (self.num, self.den)

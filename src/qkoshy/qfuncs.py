@@ -30,7 +30,7 @@ for; any other request builds its term directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import sub
 
@@ -212,23 +212,18 @@ def cyclotomic_divides(c, d: int) -> bool:
 # -- alternating T-term family ---------------------------------------
 
 
-@dataclass(frozen=True)
-class TTermForms:
+class TTermForms(namedtuple("TTermForms",
+                            "r n tr21 general_j andrews_rational gen_t2 tr22_parts")):
     """All published forms of the r-th alternating term at j = 1, kept
     unreduced.
 
-    tr21 is the exact polynomial value, in difference form.  gen_t2 needs
-    n >= 2 and is None at n = 1.  tr22_parts holds the split into
-    summands: three when n >= 2r+1, else two (one at n = 1).
+    tr21 is the exact polynomial value, in difference form.  general_j,
+    andrews_rational and gen_t2 are RationalForms; gen_t2 needs n >= 2
+    and is None at n = 1.  tr22_parts is a tuple of Polys, the split
+    into summands: three when n >= 2r+1, else two (one at n = 1).
     """
 
-    r: int
-    n: int
-    tr21: Poly
-    general_j: RationalForm
-    andrews_rational: RationalForm
-    gen_t2: RationalForm | None
-    tr22_parts: tuple[Poly, ...]
+    __slots__ = ()
 
     def rational_forms(self):
         """The quotient forms, each as a (name, RationalForm) pair."""

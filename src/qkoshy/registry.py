@@ -21,13 +21,13 @@ naming the row and the cell.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import closing
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations, groupby, product
 from math import comb, gcd
 from operator import itemgetter
+from types import SimpleNamespace
 
 from . import dyckpaths as dp
 from . import partitions as pt
@@ -52,21 +52,28 @@ from .qfuncs import (
 )
 
 
-@dataclass
-class IdentityReport:
-    identity: str
-    params: dict
-    status: str
-    counterexample: dict | None
-    cells_checked: int
-    elapsed_ms: int
+class IdentityReport(namedtuple("IdentityReport",
+                                "identity params status counterexample cells_checked elapsed_ms")):
+    """The outcome of one verify run; counterexample is None unless
+    status is "fail"."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as a dict whose params and counterexample are copies,
+        so the caller may change them without changing the report."""
+        return {**self._asdict(), "params": _copied(self.params),
+                "counterexample": _copied(self.counterexample)}
 
 
-@dataclass(frozen=True)
-class Check:
+def _copied(x):
+    """A copy of x, its dicts and lists copied at every depth."""
+    if isinstance(x, dict):
+        return {k: _copied(v) for k, v in x.items()}
+    return [_copied(v) for v in x] if isinstance(x, list) else x
+
+
+class Check(namedtuple("Check", "id checker params keep", defaults=(None,))):
     """One registry row.
 
     params maps each parameter, in the order the checker takes a cell's
@@ -74,10 +81,15 @@ class Check:
     floor, and its cap; keep, if given, is a predicate over a whole cell.
     """
 
-    id: str
-    checker: object
-    params: dict
-    keep: object = None
+    __slots__ = ()
+
+    # perfbench/tracer.py wraps each row's checker through
+    # dataclasses.replace(chk, checker=...), which takes a class that has
+    # this attribute, reads name, init and _field_type of each record in
+    # it, and calls the class with every field by keyword.  Check stays
+    # accepted there without the dataclasses module being imported.
+    __dataclass_fields__ = {name: SimpleNamespace(name=name, init=True, _field_type=None)
+                            for name in ("id", "checker", "params", "keep")}
 
     def cells(self, bounds: dict) -> list:
         """The cells of a box in sorted order, each bound clipped at its

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import io
 import json
 import os
@@ -185,7 +184,7 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     def bad(n):
         return {"left": "1", "right": "0", "diff": "1"} if n == 4 else None
 
-    monkeypatch.setitem(registry.CHECKS, "koshy", dataclasses.replace(orig, checker=bad))
+    monkeypatch.setitem(registry.CHECKS, "koshy", orig._replace(checker=bad))
     code = run(["verify", "--id", "koshy", "--n", "1..9", "--format", "json"])
     assert code == 1
     d = json.loads(capsys.readouterr().out)
@@ -260,7 +259,7 @@ def _counting(monkeypatch):
         def counted(*cell, _inner=chk.checker, _ident=ident):
             calls.append((_ident, cell))
             return _inner(*cell)
-        monkeypatch.setitem(registry.CHECKS, ident, dataclasses.replace(chk, checker=counted))
+        monkeypatch.setitem(registry.CHECKS, ident, chk._replace(checker=counted))
     column = cj._sweep_column
 
     def counted_column(*args):
@@ -340,8 +339,7 @@ def test_csv_rendering(capsys):
     assert row.startswith("koshy,")
     assert len(cli.CSV_HEADER) - 1 == row.count(",") or '"' in row
     # a failing report renders the counterexample fields
-    fake = dataclasses.replace(
-        rep,
+    fake = rep._replace(
         status="fail",
         counterexample={"cell": {"n": 2}, "left": "a,b", "right": "c", "diff": "d"},
     )
@@ -360,7 +358,7 @@ def _planted_row(n):
 
 def _plant_row(mp):
     orig = registry.CHECKS["koshy"]
-    mp.setitem(registry.CHECKS, "koshy", dataclasses.replace(orig, checker=_planted_row))
+    mp.setitem(registry.CHECKS, "koshy", orig._replace(checker=_planted_row))
 
 
 def _plant_sweep(mp):

@@ -327,6 +327,8 @@ def test_report_dict_shape():
     assert d["grid"] == {"m_max": 5, "n_max": 5, "j_max": 10}
     assert d["frontier"]["verified"] == d["grid"]
     json.dumps(d)
+    rep = cj.SweepReport("odd-n", d["grid"], 0, [], d["frontier"])
+    assert rep.elapsed_ms == 0 and rep.to_dict()["elapsed_ms"] == 0
 
 
 def test_frontier_extension(tmp_path):

@@ -1,6 +1,8 @@
 """The package runs on the standard library alone."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +24,14 @@ def test_src_imports_only_the_standard_library():
             outside += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert not outside, outside
+
+
+def test_cli_import_loads_no_heavy_module():
+    # every qkoshy command is a cold process, which pays for these first
+    script = ("import sys; before = set(sys.modules); import qkoshy.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout.split()
+    assert "qkoshy.cli" in out, out
+    assert not {"dataclasses", "inspect", "multiprocessing"} & set(out), out

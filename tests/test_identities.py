@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from collections import Counter
 
@@ -81,6 +80,11 @@ def test_report_shape_and_pass():
     assert d["cells_checked"] == 30
     assert d["params"] == {"n": [1, 30]}
     json.dumps(d)  # must be serializable as-is
+
+
+def test_check_keep_defaults_to_none():
+    assert registry.Check("koshy", None, {}).keep is None
+    assert registry.CHECKS["koshy"].keep is None
 
 
 SMALL_BOUNDS = {
@@ -175,7 +179,7 @@ def test_forced_failure_is_reported(monkeypatch):
             return {"left": "1", "right": "0", "diff": "1"}
         return None
 
-    monkeypatch.setitem(registry.CHECKS, "koshy", dataclasses.replace(orig, checker=bad))
+    monkeypatch.setitem(registry.CHECKS, "koshy", orig._replace(checker=bad))
     rep = registry.verify("koshy", bounds={"n": (1, 20)})
     assert rep.status == "fail"
     assert rep.counterexample == {
@@ -186,6 +190,14 @@ def test_forced_failure_is_reported(monkeypatch):
     }
     # the run stops at the first counterexample in sorted cell order
     assert rep.cells_checked == 7
+    # the payload is a copy: changing it leaves the report as it was
+    d = rep.to_dict()
+    d["params"]["n"][1] = 99
+    d["counterexample"]["cell"]["n"] = 99
+    d["counterexample"]["left"] = "2"
+    assert rep.params == {"n": [1, 20]}
+    assert rep.counterexample == {"cell": {"n": 7}, "left": "1", "right": "0", "diff": "1"}
+    assert rep.to_dict() != d
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -197,7 +209,7 @@ def test_checker_crash_is_an_error_not_a_failure(monkeypatch, capsys, jobs):
             raise ValueError("synthetic crash")
         return None
 
-    monkeypatch.setitem(registry.CHECKS, "koshy", dataclasses.replace(orig, checker=crash))
+    monkeypatch.setitem(registry.CHECKS, "koshy", orig._replace(checker=crash))
     with pytest.raises(QKoshyError, match="koshy.*n=3.*synthetic crash") as info:
         registry.verify("koshy", bounds={"n": (1, 4)}, jobs=jobs)
     if jobs == 1:
@@ -435,7 +447,7 @@ def test_checker_exception_becomes_failure(monkeypatch):
             raise DomainError("synthetic")
         return None
 
-    monkeypatch.setitem(registry.CHECKS, "koshy", dataclasses.replace(orig, checker=boom))
+    monkeypatch.setitem(registry.CHECKS, "koshy", orig._replace(checker=boom))
     rep = registry.verify("koshy", bounds={"n": (1, 5)})
     assert rep.status == "fail"
     assert rep.counterexample["cell"] == {"n": 3}
@@ -465,7 +477,7 @@ def test_jobs_determinism(monkeypatch):
             return {"left": "1", "right": "0", "diff": "1"}
         return None
 
-    monkeypatch.setitem(registry.CHECKS, "koshy", dataclasses.replace(orig, checker=bad))
+    monkeypatch.setitem(registry.CHECKS, "koshy", orig._replace(checker=bad))
     a, b = payloads("koshy", {"n": (1, 60)})
     assert a == b
     assert a["counterexample"]["cell"] == {"n": 7}
@@ -518,8 +530,8 @@ def test_failure_mid_column_is_the_same_at_any_jobs(monkeypatch):
     # earlier columns; the pool may run later columns, whose failure at
     # (9, 1) must not be the one reported
     orig = registry.CHECKS["t-forms"]
-    monkeypatch.setitem(registry.CHECKS, "t-forms", dataclasses.replace(
-        orig, checker=lambda n, r: FAIL if (n, r) in ((7, 3), (9, 1)) else None))
+    monkeypatch.setitem(registry.CHECKS, "t-forms", orig._replace(
+        checker=lambda n, r: FAIL if (n, r) in ((7, 3), (9, 1)) else None))
     reports = []
     for jobs in (1, 2):
         d = registry.verify("t-forms", bounds={"n": (1, 12)}, jobs=jobs).to_dict()
@@ -540,7 +552,7 @@ def test_column_stops_at_its_first_failure(monkeypatch):
         return FAIL if r == 2 else None
 
     orig = registry.CHECKS["t-forms"]
-    monkeypatch.setitem(registry.CHECKS, "t-forms", dataclasses.replace(orig, checker=bad))
+    monkeypatch.setitem(registry.CHECKS, "t-forms", orig._replace(checker=bad))
     column = [(7, r) for r in range(1, 5)]
     assert registry._check_column("t-forms", column) == (2, ((7, 2), FAIL))
     assert seen == [(7, 1), (7, 2)]

@@ -1,3 +1,4 @@
+import pickle
 import sys
 import time
 from collections import Counter
@@ -261,6 +262,33 @@ def test_lemma1_malformed():
         lemma1_inverse(LabeledPath("UUDD", "usteps", (3,)))
     with pytest.raises(MalformedLabel):
         LabeledPath("UUDD", "towers", (0, 0))
+
+
+def test_labeled_path_is_a_checked_value():
+    lp = LabeledPath("UUDUUDDD", "towers", (2, 0), (2,))
+    assert lp.s_labels == (0, 2) and lp.w_labels == (2,)
+    assert LabeledPath("UUDD", "towers", (0,)).w_labels == ()
+    # _replace and _make build through the same checks and sorting
+    assert lp._replace(w_labels=(2, 0)).w_labels == (0, 2)
+    assert LabeledPath._make(("UUDD", "usteps", (1, 0))).s_labels == (0, 1)
+    with pytest.raises(MalformedLabel, match="^duplicate s-labels$"):
+        lp._replace(s_labels=(2, 2))
+    with pytest.raises(MalformedLabel, match="^w-labels must be a subset of s-labels$"):
+        lp._replace(w_labels=(1,))
+    with pytest.raises(MalformedLabel, match="^duplicate s-labels$"):
+        LabeledPath._make(("UUDD", "towers", (0, 0), ()))
+    with pytest.raises(MalformedLabel, match="^unknown label kind 'peaks'$"):
+        lp._replace(kind="peaks")
+    # a value: equal and hashed by its fields, and only to a LabeledPath
+    same = LabeledPath("UUDUUDDD", "towers", (0, 2), (2,))
+    assert lp == same and hash(lp) == hash(same) and not lp != same
+    assert lp != tuple(lp) and not lp == tuple(lp)
+    assert lp != lp._replace(path="UUDUDUDD")
+    assert repr(lp) == ("LabeledPath(path='UUDUUDDD', kind='towers', s_labels=(0, 2), "
+                        "w_labels=(2,))")
+    assert pickle.loads(pickle.dumps(lp)) == lp
+    with pytest.raises(AttributeError):
+        lp.s_labels = (0,)
 
 
 @pytest.mark.parametrize("labels,message", [

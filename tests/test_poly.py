@@ -481,3 +481,9 @@ def test_rational_forms():
     assert rational_equal(RationalForm(Poly(1, 1), one), c)
     with pytest.raises(ZeroDivisionError):
         RationalForm(one, Poly.zero())
+    # _replace and _make build through the same check
+    with pytest.raises(ZeroDivisionError):
+        a._replace(den=Poly.zero())
+    with pytest.raises(ZeroDivisionError):
+        RationalForm._make((one, Poly.zero()))
+    assert a._replace(num=q) == RationalForm(q, one - q)

@@ -1,4 +1,5 @@
-"""Every function the benchmark's tracer wraps still exists in qkoshy.
+"""Every function the benchmark's tracer wraps still exists in qkoshy,
+and every registry row still takes the tracer's wrapper.
 
 perfbench/tracer.py names its targets as (module, dotted attribute, span
 name) triples and skips any that is gone, so its metric then reads
@@ -6,9 +7,12 @@ missing.  This test fails first, on the refactor that drops one.
 """
 
 import ast
+import dataclasses
 import importlib
 from functools import reduce
 from pathlib import Path
+
+from qkoshy import registry
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -33,3 +37,11 @@ def test_every_tracer_target_resolves():
         except AttributeError:
             missing.append("%s.%s" % (module, attr))
     assert not missing, missing
+
+
+def test_tracer_can_rebuild_every_row():
+    # the tracer wraps each row's checker with dataclasses.replace
+    for row, chk in registry.CHECKS.items():
+        traced = dataclasses.replace(chk, checker=len)
+        assert type(traced) is registry.Check, row
+        assert traced == chk._replace(checker=len), row
